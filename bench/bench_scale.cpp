@@ -10,15 +10,27 @@
 // N=1k to N=10k, which must stay strictly below the 100x a quadratic
 // simulator would show.
 //
+// Each point runs in its own child process (fork + wait4), so its peak
+// resident set is its own, not the high-water mark of every point
+// before it.  The footprint gate: bytes per node (peak RSS / N) at the
+// largest N may be at most 1.25x the 10k value, i.e. memory tracks the
+// network, not the horizon or some super-linear structure.  The exit
+// code enforces both gates.
+//
 // Usage: bench_scale [--fast] [key=value ...]
-//   --fast | fast=1   smoke sweep: N up to 10k, shorter horizon
+//   --fast | fast=1   smoke sweep: N up to 20k, shorter horizon
 //   seed=<n>          master seed (default 2005)
 //   sim_s=<t>         horizon per point (default 40, fast 20)
 //   json=<path>       output path (default BENCH_scale.json)
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,7 +50,13 @@ struct ScalePoint {
   double wall_s = 0.0;
   std::uint64_t events = 0;
   double sim_end_s = 0.0;
+  double peak_rss_mb = 0.0;  // child process peak resident set
+  double bytes_per_node = 0.0;
 };
+
+// The footprint gate's slack: bytes per node at the largest N over the
+// 10k value.
+constexpr double kFootprintSlack = 1.25;
 
 ScalePoint run_point(std::size_t n, std::uint64_t seed, double sim_s) {
   core::NetworkConfig config;
@@ -65,8 +83,53 @@ ScalePoint run_point(std::size_t n, std::uint64_t seed, double sim_s) {
   return point;
 }
 
+// Run one point in a forked child and collect its peak RSS from wait4.
+// The child reports the (trivially copyable) point back through a pipe.
+ScalePoint run_point_isolated(std::size_t n, std::uint64_t seed, double sim_s) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("pipe");
+    std::exit(1);
+  }
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    int code = 0;
+    try {
+      const ScalePoint point = run_point(n, seed, sim_s);
+      if (write(fds[1], &point, sizeof(point)) != static_cast<ssize_t>(sizeof(point))) code = 1;
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "N=%zu failed: %s\n", n, error.what());
+      code = 1;
+    }
+    std::fflush(nullptr);
+    _exit(code);
+  }
+  close(fds[1]);
+  ScalePoint point;
+  const ssize_t got = read(fds[0], &point, sizeof(point));
+  close(fds[0]);
+  int status = 0;
+  rusage usage{};
+  if (wait4(pid, &status, 0, &usage) != pid || !WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
+      got != static_cast<ssize_t>(sizeof(point))) {
+    std::fprintf(stderr, "N=%zu: child run failed\n", n);
+    std::exit(1);
+  }
+  const double peak_bytes = static_cast<double>(usage.ru_maxrss) * 1024.0;  // KiB on Linux
+  point.peak_rss_mb = peak_bytes / (1024.0 * 1024.0);
+  point.bytes_per_node = peak_bytes / static_cast<double>(n);
+  return point;
+}
+
 void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
-                bool sub_quadratic, double sim_s, const std::string& path) {
+                bool sub_quadratic, double footprint_growth, bool footprint_flat, double sim_s,
+                const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -82,18 +145,23 @@ void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
     const ScalePoint& p = points[i];
     std::fprintf(out,
                  "    {\"n\": %zu, \"field_size_m\": %.1f, \"wall_s\": %.3f, "
-                 "\"events\": %llu, \"events_per_sec\": %.0f}%s\n",
+                 "\"events\": %llu, \"events_per_sec\": %.0f, \"peak_rss_mb\": %.1f, "
+                 "\"bytes_per_node\": %.0f}%s\n",
                  p.n, p.field_size_m, p.wall_s, static_cast<unsigned long long>(p.events),
-                 p.wall_s > 0.0 ? static_cast<double>(p.events) / p.wall_s : 0.0,
-                 i + 1 < points.size() ? "," : "");
+                 p.wall_s > 0.0 ? static_cast<double>(p.events) / p.wall_s : 0.0, p.peak_rss_mb,
+                 p.bytes_per_node, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"
                "  \"wall_growth_1k_to_10k\": %.2f,\n"
                "  \"quadratic_would_be\": 100.0,\n"
-               "  \"sub_quadratic\": %s\n"
+               "  \"sub_quadratic\": %s,\n"
+               "  \"bytes_per_node_growth_10k_to_max\": %.2f,\n"
+               "  \"footprint_slack\": %.2f,\n"
+               "  \"footprint_flat\": %s\n"
                "}\n",
-               growth_1k_10k, sub_quadratic ? "true" : "false");
+               growth_1k_10k, sub_quadratic ? "true" : "false", footprint_growth, kFootprintSlack,
+               footprint_flat ? "true" : "false");
   std::fclose(out);
   std::printf("\nBENCH_scale -> %s\n", path.c_str());
 }
@@ -133,26 +201,35 @@ int main(int argc, char** argv) {
   }
   if (sim_s <= 0.0) sim_s = fast ? 20.0 : 40.0;
 
+  // The fast sweep keeps one point past 10k so the footprint gate has
+  // something to compare.
   std::vector<std::size_t> sizes{100, 1000, 10000};
-  if (!fast) {
+  if (fast) {
+    sizes.push_back(20000);
+  } else {
     sizes.push_back(50000);
     sizes.push_back(100000);
   }
 
   std::printf("==== bench_scale ====\n");
-  std::printf("%8s %12s %10s %14s %14s\n", "nodes", "field (m)", "wall (s)", "events",
-              "events/s");
+  std::printf("%8s %12s %10s %14s %14s %10s %10s\n", "nodes", "field (m)", "wall (s)", "events",
+              "events/s", "peak MB", "B/node");
   std::vector<ScalePoint> points;
   double wall_1k = 0.0;
   double wall_10k = 0.0;
+  double bytes_10k = 0.0;
   for (const std::size_t n : sizes) {
-    const ScalePoint point = run_point(n, seed, sim_s);
-    std::printf("%8zu %12.1f %10.3f %14llu %14.0f\n", point.n, point.field_size_m,
-                point.wall_s, static_cast<unsigned long long>(point.events),
-                point.wall_s > 0.0 ? static_cast<double>(point.events) / point.wall_s : 0.0);
+    const ScalePoint point = run_point_isolated(n, seed, sim_s);
+    std::printf("%8zu %12.1f %10.3f %14llu %14.0f %10.1f %10.0f\n", point.n,
+                point.field_size_m, point.wall_s, static_cast<unsigned long long>(point.events),
+                point.wall_s > 0.0 ? static_cast<double>(point.events) / point.wall_s : 0.0,
+                point.peak_rss_mb, point.bytes_per_node);
     std::fflush(stdout);
     if (point.n == 1000) wall_1k = point.wall_s;
-    if (point.n == 10000) wall_10k = point.wall_s;
+    if (point.n == 10000) {
+      wall_10k = point.wall_s;
+      bytes_10k = point.bytes_per_node;
+    }
     points.push_back(point);
   }
 
@@ -160,6 +237,10 @@ int main(int argc, char** argv) {
   const bool sub_quadratic = growth > 0.0 && growth < 100.0;
   std::printf("\nwall growth 1k -> 10k: %.2fx (quadratic would be 100x) -> %s\n", growth,
               sub_quadratic ? "sub-quadratic" : "NOT sub-quadratic");
-  write_json(points, growth, sub_quadratic, sim_s, json_path);
-  return sub_quadratic ? 0 : 1;
+  const double footprint_growth = bytes_10k > 0.0 ? points.back().bytes_per_node / bytes_10k : 0.0;
+  const bool footprint_flat = footprint_growth > 0.0 && footprint_growth <= kFootprintSlack;
+  std::printf("bytes/node 10k -> %zu: %.2fx (gate <= %.2fx) -> %s\n", points.back().n,
+              footprint_growth, kFootprintSlack, footprint_flat ? "flat" : "NOT flat");
+  write_json(points, growth, sub_quadratic, footprint_growth, footprint_flat, sim_s, json_path);
+  return sub_quadratic && footprint_flat ? 0 : 1;
 }

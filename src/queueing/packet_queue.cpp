@@ -32,6 +32,7 @@ void PacketQueue::drain(const std::function<void(const Packet&)>& sink) {
     const Packet packet = buffer_.pop();
     if (sink) sink(packet);
   }
+  buffer_.clear();
   sync_mirror();
 }
 

@@ -3,7 +3,9 @@
 // Bounded FIFO (Table II: buffer size 50 packets) with drop-tail
 // overflow and full accounting: every packet that enters is eventually
 // classified as delivered, dropped(reason), or still-queued, and the
-// integration tests assert that these tallies balance.
+// integration tests assert that these tallies balance.  Packet storage
+// grows on demand up to the capacity and is freed by drain(), so an
+// idle or dead node's queue holds none.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +45,8 @@ class PacketQueue {
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
   [[nodiscard]] bool empty() const noexcept { return buffer_.empty(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return buffer_.capacity(); }
+  /// Packet slots currently allocated (0 when idle, at most capacity()).
+  [[nodiscard]] std::size_t allocated() const noexcept { return buffer_.allocated(); }
 
   [[nodiscard]] std::uint64_t total_arrivals() const noexcept { return arrivals_; }
   [[nodiscard]] std::uint64_t overflow_drops() const noexcept { return overflow_drops_; }
@@ -59,7 +63,8 @@ class PacketQueue {
   }
 
   /// Drop every queued packet (node death / end of run), invoking
-  /// `sink(packet)` for each so the caller can account for them.
+  /// `sink(packet)` for each so the caller can account for them, and
+  /// free the packet storage.
   void drain(const std::function<void(const Packet&)>& sink);
 
  private:

@@ -40,9 +40,11 @@ const std::string& exec_hostname() {
 
 /// Periodic one-line drain report on its own thread: cells done/total,
 /// hit/executed split, executed cells/s and the ETA that rate implies.
-/// Interval <= 0 constructs a no-op (no thread).  stop() is idempotent
-/// and joins; the destructor stops too, so the reporter can never
-/// outlive the counters or stream it watches.
+/// A last line is written at stop(), so a drain shorter than the
+/// interval (or one whose reporter thread was starved of CPU) still
+/// reports its final state.  Interval <= 0 constructs a no-op (no
+/// thread).  stop() is idempotent and joins; the destructor stops too,
+/// so the reporter can never outlive the counters or stream it watches.
 class ProgressReporter {
  public:
   ProgressReporter(double interval_s, std::ostream& out, std::size_t total,
@@ -74,6 +76,7 @@ class ProgressReporter {
     while (!cv_.wait_for(lock, interval, [this] { return stopped_; })) {
       report(started);
     }
+    report(started);
   }
 
   void report(std::chrono::steady_clock::time_point started) const {

@@ -12,6 +12,7 @@
 
 #include "util/atomic_file.hpp"
 #include "util/config.hpp"
+#include "util/digest.hpp"
 
 namespace caem::scenario {
 
@@ -40,6 +41,15 @@ std::string random_suffix() {
   std::ostringstream out;
   out << std::hex << entropy;
   return out.str();
+}
+
+/// Whole file as bytes; std::nullopt when it cannot be opened (absent).
+std::optional<std::string> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 }  // namespace
@@ -83,12 +93,14 @@ std::string ClaimBoard::claim_body(std::size_t job) const {
 }
 
 std::optional<ClaimInfo> ClaimBoard::peek(std::size_t job) const {
-  std::ifstream in(claim_path(job), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::optional<std::string> bytes = read_bytes(claim_path(job));
+  if (!bytes.has_value()) return std::nullopt;
+  return parse(*bytes, job);
+}
+
+std::optional<ClaimInfo> ClaimBoard::parse(const std::string& bytes, std::size_t job) const {
   try {
-    const util::Config config = util::Config::from_text(buffer.str());
+    const util::Config config = util::Config::from_text(bytes);
     if (config.get_int("v", -1) != 1) return std::nullopt;
     if (config.get_string("sweep", "") != sweep_) return std::nullopt;
     ClaimInfo info;
@@ -106,18 +118,37 @@ std::optional<ClaimInfo> ClaimBoard::peek(std::size_t job) const {
   }
 }
 
-bool ClaimBoard::take(std::size_t job) {
-  // rename with a destination unique to (this board, this attempt) is a
-  // filesystem test-and-take: of N racing stealers exactly one rename
-  // finds the source present and succeeds; the rest get ENOENT.
-  const std::string from = claim_path(job);
-  const std::string to = from + ".stale-" + std::to_string(::getpid()) + "-" +
-                         std::to_string(next_nonce());
+std::string ClaimBoard::eviction_lock_path(std::size_t job, const std::string& judged) const {
+  return claim_path(job) + ".evict-" + util::content_digest(judged);
+}
+
+bool ClaimBoard::evict(std::size_t job, const std::string& judged) {
+  // Renaming the claim path away would take whatever stands there NOW,
+  // which may be a racing stealer's fresh claim published since this
+  // board read `judged` — two holders, one cell run twice.  Instead the
+  // eviction of one particular claim is serialized by a lock file named
+  // after its bytes: atomic_create_file lets exactly one of the
+  // stealers that judged it hold the lock, and that one re-reads the
+  // claim under the lock and deletes it only if it still is `judged`.
+  // A stealer that read it earlier and gets the lock later finds the
+  // new holder's claim instead and leaves it alone.
+  const std::string lock = eviction_lock_path(job, judged);
   std::error_code error;
-  fs::rename(from, to, error);
-  if (error) return false;
-  fs::remove(to, error);  // best-effort cleanup of the evicted claim
-  return true;
+  if (!util::atomic_create_file(lock, token_, "claim eviction lock")) {
+    // Held by a peer mid-eviction, or left behind by one that crashed
+    // holding it: a lock older than this board's lease is abandoned.
+    // Clearing it lets the next pass retry the eviction.
+    const fs::file_time_type written = fs::last_write_time(lock, error);
+    const auto lease = std::chrono::duration_cast<fs::file_time_type::duration>(
+        std::chrono::duration<double>(lease_s_));
+    if (!error && fs::file_time_type::clock::now() - written > lease) fs::remove(lock, error);
+    return false;
+  }
+  const std::string path = claim_path(job);
+  const bool still_judged = read_bytes(path) == judged;
+  if (still_judged) fs::remove(path, error);
+  fs::remove(lock, error);
+  return still_judged;
 }
 
 ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
@@ -128,13 +159,13 @@ ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
   // reports busy and the caller repolls later.
   for (int attempt = 0; attempt < 16; ++attempt) {
     if (util::atomic_create_file(path, claim_body(job), "work claim")) return Claim::kWon;
-    const std::optional<ClaimInfo> standing = peek(job);
+    const std::optional<std::string> seen = read_bytes(path);
+    if (!seen.has_value()) continue;  // holder released: re-try the acquire
+    const std::optional<ClaimInfo> standing = parse(*seen, job);
     if (!standing.has_value()) {
-      std::error_code error;
-      if (!fs::exists(path, error)) continue;  // holder released: re-try the acquire
       // Present but unreadable: a claim is published complete (temp +
       // hard link), so this is hand damage — evict it like a stale one.
-      if (take(job)) ++stolen_;
+      if (evict(job, *seen)) ++stolen_;
       continue;
     }
     if (standing->token == token_) return Claim::kWon;  // already ours
@@ -154,7 +185,7 @@ ClaimBoard::Claim ClaimBoard::try_claim(std::size_t job) {
     const bool expired = now > standing->epoch_ms + lease_ms;
     const bool future_dated = standing->epoch_ms > now + lease_ms;
     if (!expired && !future_dated) return Claim::kBusy;  // healthy holder
-    if (take(job)) ++stolen_;
+    if (evict(job, *seen)) ++stolen_;
     // Lost the steal race (or won it): either way loop — the next pass
     // acquires, or observes the winning stealer's fresh claim as busy.
   }

@@ -28,10 +28,15 @@
 //           lease in the FUTURE (fast-clock host, corrupt stamp) is
 //           treated as stale too — otherwise it could never expire in
 //           this process's frame and the cell would be unstealable.
-// STEAL     rename the stale claim to a name unique to the stealer.
-//           rename succeeds for exactly one of N racing stealers (the
-//           rest get ENOENT) — a filesystem test-and-take — after which
-//           the winner deletes the moved file and ACQUIREs normally.
+// STEAL     delete the stale claim, then ACQUIRE normally.  The delete
+//           must hit only the claim the stealer judged: by the time it
+//           acts, a racing stealer may already have evicted that claim
+//           and published a fresh one.  So each eviction first takes a
+//           lock file named after the judged claim's bytes
+//           (atomic_create_file: one of N racing stealers gets it),
+//           re-reads the claim under the lock, and deletes it only if
+//           the bytes still match.  A lock left by a stealer that
+//           crashed mid-eviction is cleared once older than a lease.
 // RELEASE   the holder deletes its claim after the cell's result is
 //           durably stored in the cache.
 //
@@ -92,6 +97,17 @@ class ClaimBoard {
   /// Read the standing claim; std::nullopt when absent or unreadable.
   [[nodiscard]] std::optional<ClaimInfo> peek(std::size_t job) const;
 
+  /// Delete the standing claim on `job` if, and only if, its bytes are
+  /// still `judged` (the claim this board read and found stale or
+  /// unreadable).  True when this call deleted it; false when a racing
+  /// stealer got there first or the claim has since changed hands.
+  [[nodiscard]] bool evict(std::size_t job, const std::string& judged);
+
+  /// The lock file that serializes evictions of the claim `judged` on
+  /// `job` (present only while an eviction is in flight, or after a
+  /// stealer crashed holding it; cleared once older than a lease).
+  [[nodiscard]] std::string eviction_lock_path(std::size_t job, const std::string& judged) const;
+
   [[nodiscard]] const std::string& token() const noexcept { return token_; }
   [[nodiscard]] const std::string& host() const noexcept { return host_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
@@ -105,9 +121,7 @@ class ClaimBoard {
  private:
   [[nodiscard]] std::string claim_path(std::size_t job) const;
   [[nodiscard]] std::string claim_body(std::size_t job) const;
-  /// Atomically take a claim file away from its (stale) holder.  True
-  /// when this board's rename won the race.
-  [[nodiscard]] bool take(std::size_t job);
+  [[nodiscard]] std::optional<ClaimInfo> parse(const std::string& bytes, std::size_t job) const;
 
   std::string sweep_;
   std::string dir_;

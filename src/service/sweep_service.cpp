@@ -413,7 +413,13 @@ void SweepService::dispatch_loop() {
       const std::string id = queue_.front();
       queue_.pop_front();
       const auto it = sweeps_.find(id);
-      if (it == sweeps_.end() || it->second->state != State::kQueued) continue;
+      if (it == sweeps_.end() || it->second->state != State::kQueued) {
+        // Dropping a cancelled sweep from the queue can leave the
+        // service idle: wake wait_idle watchers, or they sleep out
+        // their whole timeout.
+        cv_.notify_all();
+        continue;
+      }
       it->second->state = State::kRunning;
       it->second->started = std::chrono::steady_clock::now();
       sweep = it->second.get();

@@ -218,6 +218,7 @@ bool LadderQueue::advance_ladder() {
     const double lo = bucket_start(r, r.cur);
     const double hi = bucket_end(r, r.cur);
     bottom_store_.swap(r.buckets[r.cur]);  // adopt the bucket: zero entry moves
+    trim_bucket(r.buckets[r.cur]);          // it now holds the old bottom's buffer
     ++r.cur;
     const std::size_t live = prune_store();
     if (live == 0) {
@@ -278,8 +279,20 @@ LadderQueue::Rung& LadderQueue::new_rung() {
 }
 
 void LadderQueue::retire_rung() {
-  rung_pool_.push_back(std::move(rungs_.back()));
+  pool_rung(std::move(rungs_.back()));
   rungs_.pop_back();
+}
+
+void LadderQueue::trim_bucket(Bucket& bucket) noexcept {
+  if (bucket.capacity() > kBucketRetain) Bucket().swap(bucket);
+}
+
+void LadderQueue::pool_rung(Rung&& rung) noexcept {
+  for (Bucket& bucket : rung.buckets) {
+    bucket.clear();
+    trim_bucket(bucket);
+  }
+  rung_pool_.push_back(std::move(rung));
 }
 
 void LadderQueue::spawn_top_rung() {
@@ -404,6 +417,21 @@ void LadderQueue::compact_bottom() {
   bottom_head_ = 0;
 }
 
+std::size_t LadderQueue::retained_bytes() const noexcept {
+  const auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  const auto rung_bytes = [&bytes](const std::vector<Rung>& rungs) {
+    std::size_t total = bytes(rungs);
+    for (const Rung& r : rungs) {
+      total += bytes(r.buckets);
+      for (const Bucket& b : r.buckets) total += bytes(b);
+    }
+    return total;
+  };
+  return bytes(bottom_store_) + bytes(staged_fns_) + bytes(store_scratch_) +
+         bytes(fn_scratch_) + bytes(bottom_keys_) + rung_bytes(rungs_) +
+         rung_bytes(rung_pool_) + bytes(top_) + bytes(fn_store_) + gens_.retained_bytes();
+}
+
 void LadderQueue::reset_spans() noexcept {
   bottom_limit_ = -kInf;
   top_min_ = kInf;
@@ -417,10 +445,7 @@ void LadderQueue::clear() noexcept {
   bottom_head_ = 0;
   store_scratch_.clear();
   fn_scratch_.clear();
-  for (Rung& r : rungs_) {
-    for (std::size_t i = r.cur; i < r.bucket_count; ++i) r.buckets[i].clear();
-    rung_pool_.push_back(std::move(r));
-  }
+  for (Rung& r : rungs_) pool_rung(std::move(r));
   rungs_.clear();
   top_.clear();
   fn_store_.clear();  // releases every parked capture

@@ -43,9 +43,18 @@
 //   * liveness is a 4-byte GenTable stamp — the only dependent random
 //     access on the pop path, L2-resident at the 50k-node operating
 //     point where a callback-carrying table would thrash;
-//   * bucket vectors, rung frames and staging columns are pooled and
-//     recycled across epochs, so steady-state operation performs zero
-//     allocations.
+//   * rung frames are pooled and recycled across epochs, and a drained
+//     bucket keeps a small buffer (up to kBucketRetain entries) for its
+//     next fill, so typical buckets refill without allocating.
+//
+// Retention: what the queue holds is O(peak live entries) plus a fixed
+// per-rung constant (fixed_retain_bytes() over all rungs).  A bucket buffer bigger than
+// kBucketRetain is released when the bucket is adopted into the bottom
+// and when its rung frame is pooled; only the single bottom, top,
+// staging and slot columns keep capacity sized by the pending set.
+// Without that rule, adoption by swap would pass the previous bottom's
+// large buffer to each drained bucket, and pooled rungs would keep
+// every bucket sized for the biggest bottom ever seen.
 //
 // Cancellation: cancel() is O(1); for rung/top-resident events the
 // captured state is released at cancel() itself (the callback column is
@@ -96,6 +105,18 @@ class LadderQueue final : public PendingSet {
   /// Total events ever scheduled (diagnostics / micro-benchmarks).
   [[nodiscard]] std::uint64_t total_scheduled() const noexcept { return next_sequence_ - 1; }
 
+  /// Heap bytes the queue holds now (container capacities, not sizes).
+  /// A footprint diagnostic: like counters(), it never reaches a
+  /// RunResult or canonical_text().
+  [[nodiscard]] std::size_t retained_bytes() const noexcept;
+
+  /// Bytes the rung frames (at most kMaxRungs) keep once every bucket
+  /// is drained: the fixed term of the retention bound.
+  [[nodiscard]] static constexpr std::size_t fixed_retain_bytes() noexcept {
+    return kMaxRungs * kMaxBuckets * (sizeof(Bucket) + kBucketRetain * sizeof(Entry));
+  }
+  [[nodiscard]] static constexpr std::size_t entry_bytes() noexcept { return sizeof(Entry); }
+
  private:
   struct Entry {
     double time_s;
@@ -117,7 +138,8 @@ class LadderQueue final : public PendingSet {
   // floating-point gaps are absorbed there (entries at exactly `limit`
   // are clamped into it when a rung inherits its parent's bound).
   // buckets.size() may exceed bucket_count: surplus vectors keep their
-  // capacity for reuse when the rung frame is pooled.
+  // (at most kBucketRetain-entry) buffers for reuse when the frame is
+  // pooled.
   struct Rung {
     double start = 0.0;
     double width = 0.0;
@@ -140,6 +162,11 @@ class LadderQueue final : public PendingSet {
   // cache lines — 2048 stays L2-resident at city scale, where 32k
   // tails would thrash.  Million-entry epochs just recurse one level.
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 11;
+  // A drained bucket keeps a buffer of at most this many entries for
+  // its next fill; anything bigger is released (see "Retention").
+  // Covers the typical bucket (a few entries) so refills rarely
+  // allocate, while capping a full rung frame at ~0.8 MB.
+  static constexpr std::size_t kBucketRetain = 16;
   // A rung-less sorted bottom bigger than this spills its tail to the
   // top so sorted inserts stay short.
   static constexpr std::size_t kBottomSpill = 4096;
@@ -194,6 +221,10 @@ class LadderQueue final : public PendingSet {
   void spawn_child_rung(double lo, double hi, std::size_t live);
   Rung& new_rung();
   void retire_rung();
+  /// Release a drained bucket's buffer if it exceeds kBucketRetain.
+  static void trim_bucket(Bucket& bucket) noexcept;
+  /// Empty and trim every bucket of `rung`, then park it in the pool.
+  void pool_rung(Rung&& rung) noexcept;
   void prune_top() noexcept;
   void reset_spans() noexcept;
 

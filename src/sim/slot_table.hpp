@@ -253,6 +253,12 @@ class GenTable {
   /// Physical table size, including free slots (diagnostics/tests).
   [[nodiscard]] std::size_t capacity() const noexcept { return gen_.size(); }
 
+  /// Heap bytes held (capacities), for footprint diagnostics.
+  [[nodiscard]] std::size_t retained_bytes() const noexcept {
+    return (gen_.capacity() + free_slots_.capacity() + retired_generation_.capacity()) *
+           sizeof(std::uint32_t);
+  }
+
  private:
   static constexpr std::uint32_t kFreeBit = 0x80000000u;
   static constexpr std::uint32_t kGenMask = 0x7FFFFFFFu;

@@ -1,10 +1,14 @@
-// ring_buffer.hpp — fixed-capacity FIFO used by the packet queue.
+// ring_buffer.hpp — bounded FIFO used by the packet queue.
 //
-// Header-only template: contiguous storage, no allocation after
-// construction, O(1) push/pop.  Capacity is a runtime constructor
-// argument because buffer size is a simulation parameter (Table II).
+// Header-only template: contiguous storage, O(1) push/pop.  Capacity is
+// a runtime constructor argument because buffer size is a simulation
+// parameter (Table II).  It is a limit, not an allocation: storage
+// starts empty and doubles on demand (from kInitialSlots) up to the
+// limit, so a buffer costs what it has held, not its worst case.
+// clear() hands the storage back.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <utility>
@@ -15,19 +19,23 @@ namespace caem::util {
 template <typename T>
 class RingBuffer {
  public:
-  explicit RingBuffer(std::size_t capacity) : storage_(capacity) {
+  explicit RingBuffer(std::size_t capacity) : capacity_(capacity) {
     if (capacity == 0) throw std::invalid_argument("RingBuffer: capacity must be positive");
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return storage_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] bool full() const noexcept { return size_ == storage_.size(); }
+  [[nodiscard]] bool full() const noexcept { return size_ == capacity_; }
+
+  /// Element slots currently allocated: 0 until the first push, never
+  /// more than capacity().
+  [[nodiscard]] std::size_t allocated() const noexcept { return storage_.size(); }
 
   /// Push to the back; returns false (and drops the value) when full.
   bool try_push(T value) {
-    if (full()) return false;
-    storage_[(head_ + size_) % storage_.size()] = std::move(value);
+    if (!make_room()) return false;
+    storage_[wrap(head_ + size_)] = std::move(value);
     ++size_;
     return true;
   }
@@ -45,13 +53,13 @@ class RingBuffer {
   /// i-th element from the front (0 == front); throws when out of range.
   [[nodiscard]] const T& at(std::size_t i) const {
     if (i >= size_) throw std::out_of_range("RingBuffer: index out of range");
-    return storage_[(head_ + i) % storage_.size()];
+    return storage_[wrap(head_ + i)];
   }
 
   /// Push to the front (re-queue); returns false when full.
   bool try_push_front(T value) {
-    if (full()) return false;
-    head_ = (head_ + storage_.size() - 1) % storage_.size();
+    if (!make_room()) return false;
+    head_ = wrap(head_ + storage_.size() - 1);
     storage_[head_] = std::move(value);
     ++size_;
     return true;
@@ -61,18 +69,46 @@ class RingBuffer {
   T pop() {
     if (empty()) throw std::out_of_range("RingBuffer: pop() on empty buffer");
     T value = std::move(storage_[head_]);
-    head_ = (head_ + 1) % storage_.size();
+    head_ = wrap(head_ + 1);
     --size_;
     return value;
   }
 
+  /// Empty the buffer and free its storage.
   void clear() noexcept {
+    std::vector<T>().swap(storage_);
     head_ = 0;
     size_ = 0;
   }
 
  private:
+  static constexpr std::size_t kInitialSlots = 4;
+
+  /// Reduce a position below 2 * allocated() to a slot index.
+  [[nodiscard]] std::size_t wrap(std::size_t i) const noexcept {
+    return i >= storage_.size() ? i - storage_.size() : i;
+  }
+
+  /// Ensure a free slot exists, growing the storage if it is full but
+  /// below capacity(); false when the buffer is at its limit.
+  bool make_room() {
+    if (full()) return false;
+    if (size_ == storage_.size()) grow();
+    return true;
+  }
+
+  /// Double the storage (capped at capacity()), unwrapping the live
+  /// elements to the start of the new block.
+  void grow() {
+    const std::size_t slots = std::min(capacity_, std::max(kInitialSlots, 2 * storage_.size()));
+    std::vector<T> next(slots);
+    for (std::size_t i = 0; i < size_; ++i) next[i] = std::move(storage_[wrap(head_ + i)]);
+    storage_.swap(next);
+    head_ = 0;
+  }
+
   std::vector<T> storage_;
+  std::size_t capacity_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -55,7 +55,7 @@ TEST(AbicmTable, AirTimeInverseToRate) {
 
 TEST(AbicmTable, AirTimeValidation) {
   const AbicmTable table;
-  EXPECT_THROW(table.air_time_s(0, -1.0), std::invalid_argument);
+  EXPECT_THROW((void)table.air_time_s(0, -1.0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(table.air_time_s(0, 0.0), 0.0);
 }
 
@@ -78,7 +78,7 @@ TEST(AbicmTable, ThresholdAccessor) {
   const AbicmTable table;
   EXPECT_DOUBLE_EQ(table.threshold_snr_db(0), 6.0);
   EXPECT_DOUBLE_EQ(table.threshold_snr_db(3), 18.0);
-  EXPECT_THROW(table.threshold_snr_db(4), std::out_of_range);
+  EXPECT_THROW((void)table.threshold_snr_db(4), std::out_of_range);
 }
 
 TEST(FrameTiming, SingleFrameComposition) {

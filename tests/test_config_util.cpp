@@ -29,9 +29,9 @@ TEST(Config, FallbacksForMissingKeys) {
 
 TEST(Config, MalformedValuesThrow) {
   const Config config = Config::from_args({"x=abc", "y=1.2.3", "z=maybe"});
-  EXPECT_THROW(config.get_int("x", 0), std::invalid_argument);
-  EXPECT_THROW(config.get_double("y", 0.0), std::invalid_argument);
-  EXPECT_THROW(config.get_bool("z", false), std::invalid_argument);
+  EXPECT_THROW((void)config.get_int("x", 0), std::invalid_argument);
+  EXPECT_THROW((void)config.get_double("y", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)config.get_bool("z", false), std::invalid_argument);
 }
 
 TEST(Config, MalformedTokenThrows) {

@@ -1,9 +1,12 @@
 // Tests for util::RingBuffer and util::TableWriter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
 #include <sstream>
 
 #include "util/ring_buffer.hpp"
+#include "util/rng.hpp"
 #include "util/table_writer.hpp"
 
 namespace caem::util {
@@ -55,17 +58,80 @@ TEST(RingBuffer, AtIndexesFromHead) {
   EXPECT_EQ(buffer.at(0), 20);
   EXPECT_EQ(buffer.at(1), 30);
   EXPECT_EQ(buffer.at(2), 40);
-  EXPECT_THROW(buffer.at(3), std::out_of_range);
+  EXPECT_THROW((void)buffer.at(3), std::out_of_range);
 }
 
 TEST(RingBuffer, ErrorsAndClear) {
   RingBuffer<int> buffer(2);
   EXPECT_THROW(buffer.pop(), std::out_of_range);
-  EXPECT_THROW(buffer.front(), std::out_of_range);
+  EXPECT_THROW((void)buffer.front(), std::out_of_range);
   EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
   buffer.try_push(1);
   buffer.clear();
   EXPECT_TRUE(buffer.empty());
+}
+
+// Randomized equivalence against std::deque: pushes at both ends, pops
+// and indexed peeks, through many wraps and every growth step, at
+// capacities that are and are not powers of two.  Overflow must land
+// exactly at capacity(), whatever storage is allocated at the time.
+TEST(RingBuffer, MatchesDequeAcrossWrapsAndGrowth) {
+  for (const std::size_t capacity : {1u, 3u, 4u, 7u, 50u}) {
+    RingBuffer<int> buffer(capacity);
+    std::deque<int> reference;
+    Rng rng(capacity, "ring-equivalence");
+    int next = 0;
+    for (int op = 0; op < 20'000; ++op) {
+      const std::uint64_t dice = rng.next() % 10;
+      if (dice < 4) {
+        const bool ok = buffer.try_push(next);
+        ASSERT_EQ(ok, reference.size() < capacity) << "capacity " << capacity << " op " << op;
+        if (ok) reference.push_back(next);
+        ++next;
+      } else if (dice < 5) {
+        const bool ok = buffer.try_push_front(next);
+        ASSERT_EQ(ok, reference.size() < capacity) << "capacity " << capacity << " op " << op;
+        if (ok) reference.push_front(next);
+        ++next;
+      } else if (dice < 8) {
+        if (reference.empty()) {
+          EXPECT_THROW((void)buffer.pop(), std::out_of_range);
+          continue;
+        }
+        ASSERT_EQ(buffer.pop(), reference.front());
+        reference.pop_front();
+      } else {
+        for (std::size_t i = 0; i < reference.size(); ++i) ASSERT_EQ(buffer.at(i), reference[i]);
+        EXPECT_THROW((void)buffer.at(reference.size()), std::out_of_range);
+      }
+      ASSERT_EQ(buffer.size(), reference.size());
+      ASSERT_EQ(buffer.full(), reference.size() == capacity);
+      ASSERT_EQ(buffer.capacity(), capacity);
+      ASSERT_LE(buffer.allocated(), capacity);
+      ASSERT_GE(buffer.allocated(), buffer.size());
+    }
+  }
+}
+
+TEST(RingBuffer, StorageGrowsOnDemandAndClearFreesIt) {
+  RingBuffer<int> buffer(50);
+  EXPECT_EQ(buffer.capacity(), 50u);
+  EXPECT_EQ(buffer.allocated(), 0u);  // idle: no storage at all
+  EXPECT_TRUE(buffer.try_push(1));
+  EXPECT_GT(buffer.allocated(), 0u);
+  EXPECT_LT(buffer.allocated(), 50u);
+  // Grow while wrapped: the head sits mid-storage when the block doubles.
+  EXPECT_EQ(buffer.pop(), 1);
+  for (int i = 0; i < 50; ++i) EXPECT_TRUE(buffer.try_push_front(i));
+  EXPECT_EQ(buffer.allocated(), 50u);  // capped at the limit, not rounded up
+  EXPECT_FALSE(buffer.try_push(99));
+  EXPECT_FALSE(buffer.try_push_front(99));
+  for (int i = 49; i >= 40; --i) EXPECT_EQ(buffer.pop(), i);
+  buffer.clear();
+  EXPECT_EQ(buffer.allocated(), 0u);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_TRUE(buffer.try_push(7));
+  EXPECT_EQ(buffer.front(), 7);
 }
 
 TEST(TableWriter, AlignsColumns) {

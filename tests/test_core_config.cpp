@@ -95,7 +95,7 @@ TEST(Protocol, NamesRoundTrip) {
   EXPECT_EQ(protocol_from_string("leach"), protocol_from_string("pure-leach"));
   EXPECT_EQ(protocol_from_string("adaptive"), protocol_from_string("caem-scheme1"));
   EXPECT_EQ(protocol_from_string("fixed"), protocol_from_string("caem-scheme2"));
-  EXPECT_THROW(protocol_from_string("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)protocol_from_string("bogus"), std::invalid_argument);
 }
 
 TEST(NetworkConfig, DigestIsCanonicalAndKnobSensitive) {

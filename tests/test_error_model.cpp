@@ -73,7 +73,7 @@ TEST_F(ErrorModelTest, ZeroBitsAlwaysSucceeds) {
 
 TEST_F(ErrorModelTest, Validation) {
   EXPECT_THROW(PacketErrorModel(nullptr), std::invalid_argument);
-  EXPECT_THROW(model_.packet_error_rate(0, 10.0, -5.0), std::invalid_argument);
+  EXPECT_THROW((void)model_.packet_error_rate(0, 10.0, -5.0), std::invalid_argument);
 }
 
 TEST_F(ErrorModelTest, CodingGainVisible) {

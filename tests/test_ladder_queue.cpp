@@ -1,10 +1,11 @@
 // Tests for the LadderQueue: the PendingSet contract run against both
 // implementations, rung-spill FIFO ordering, generation safety across
 // cancel/clear/reuse, far-future timestamps, the GenTable, the
-// sim.queue_kind digest-neutrality contract, and a randomized
-// heap-vs-ladder equivalence oracle.
+// sim.queue_kind digest-neutrality contract, a randomized
+// heap-vs-ladder equivalence oracle, and the bound on retained storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -202,6 +203,66 @@ TEST(LadderQueue, RandomizedMillionOpEquivalenceOracle) {
 // ---------------------------------------------------------------------------
 // Ladder-specific semantics.
 
+// Hold model at the city-10k operating point: ~20k live events, every
+// pop replaced by a fresh schedule, and about one step in ten also
+// cancelling a recent event (and replacing it when it was still live).
+// Most delays are near-term; the rest are far-future timers piling up
+// on shared snapshot and round boundaries, like Network's metrics and
+// round events.  Over many epochs the retained storage must track the
+// live set: a bounded multiple of the peak live entries plus the fixed
+// per-rung term.  kEntryFactor covers every per-entry column (entry,
+// sort key, scratch copy, staged and slot-parked callbacks, generation
+// stamp) at up to 2x vector slack, in units of one 24-byte Entry.
+TEST(LadderQueue, RetainedStorageTracksLiveEntries) {
+  constexpr std::size_t kLive = 20'000;
+  constexpr std::size_t kOps = 2'000'000;
+  constexpr std::size_t kEntryFactor = 24;
+  LadderQueue queue;
+  util::Rng rng(2005, "ladder-retention");
+  const auto noop = [](double) {};
+  std::vector<EventId> recent(kLive, kInvalidEventId);
+  double now = 0.0;
+  std::size_t ops = 0;
+  const auto schedule_one = [&] {
+    const std::uint64_t shape = rng.next() % 100;
+    double t;
+    if (shape < 90) {
+      t = now + 0.05 * rng.uniform();  // MAC checks, arrivals, pulses
+    } else if (shape < 97) {
+      t = std::floor(now) + 1.0 + static_cast<double>(rng.next() % 4);  // snapshots
+    } else {
+      t = (std::floor(now / 5.0) + 1.0 + static_cast<double>(rng.next() % 2)) * 5.0;  // rounds
+    }
+    recent[rng.next() % kLive] = queue.schedule(t, noop);
+    ++ops;
+  };
+  for (std::size_t i = 0; i < kLive; ++i) schedule_one();
+  std::size_t peak_live = queue.size();
+  std::size_t peak_retained = 0;
+  std::size_t checks = 0;
+  while (ops < kOps) {
+    now = queue.pop().time_s;
+    ++ops;
+    schedule_one();
+    if (rng.next() % 10 == 0) {
+      ++ops;
+      if (queue.cancel(recent[rng.next() % kLive])) schedule_one();
+    }
+    peak_live = std::max(peak_live, queue.size());
+    if (ops % 4096 < 3) {
+      peak_retained = std::max(peak_retained, queue.retained_bytes());
+      ++checks;
+    }
+  }
+  peak_retained = std::max(peak_retained, queue.retained_bytes());
+  const std::size_t bound =
+      kEntryFactor * peak_live * LadderQueue::entry_bytes() + LadderQueue::fixed_retain_bytes();
+  EXPECT_GT(now, 10.0);  // past two round boundaries, many epochs
+  EXPECT_GT(checks, 200u);
+  EXPECT_LE(peak_live, kLive + 1);
+  EXPECT_LE(peak_retained, bound) << "peak live " << peak_live << ", simulated to t=" << now;
+}
+
 TEST(LadderQueue, CancelReleasesRungResidentCaptureEagerly) {
   LadderQueue queue;
   auto state = std::make_shared<int>(42);
@@ -307,7 +368,7 @@ TEST(QueueKindConfig, FactoryRoundTrip) {
   EXPECT_EQ(make_pending_set(queue_kind_from_string("heap"))->kind_name(), std::string("heap"));
   EXPECT_EQ(make_pending_set(queue_kind_from_string("ladder"))->kind_name(),
             std::string("ladder"));
-  EXPECT_THROW(queue_kind_from_string("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)queue_kind_from_string("bogus"), std::invalid_argument);
 }
 
 }  // namespace

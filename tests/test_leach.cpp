@@ -20,8 +20,8 @@ TEST(ElectionThreshold, FormulaValues) {
   EXPECT_NEAR(election_threshold(0.05, 20), 0.05, 1e-12);  // epoch wraps
   EXPECT_EQ(epoch_length(0.05), 20u);
   EXPECT_EQ(epoch_length(0.1), 10u);
-  EXPECT_THROW(election_threshold(0.0, 0), std::invalid_argument);
-  EXPECT_THROW(epoch_length(1.5), std::invalid_argument);
+  EXPECT_THROW((void)election_threshold(0.0, 0), std::invalid_argument);
+  EXPECT_THROW((void)epoch_length(1.5), std::invalid_argument);
 }
 
 TEST(Election, EveryoneServesExactlyOncePerEpoch) {

@@ -83,8 +83,8 @@ TEST_F(LinkTest, DistanceTracked) {
 
 TEST_F(LinkTest, Validation) {
   const NodeId a = links_.add_static_node({0, 0});
-  EXPECT_THROW(links_.link(a, a), std::invalid_argument);
-  EXPECT_THROW(links_.link(a, 999), std::invalid_argument);
+  EXPECT_THROW((void)links_.link(a, a), std::invalid_argument);
+  EXPECT_THROW((void)links_.link(a, 999), std::invalid_argument);
   EXPECT_THROW(links_.add_node(nullptr), std::invalid_argument);
 }
 

@@ -56,7 +56,7 @@ TEST(PacketQueue, PeekAheadForBurstAssembly) {
   for (std::uint64_t i = 1; i <= 4; ++i) queue.push(make_packet(i), 0.0);
   EXPECT_EQ(queue.peek(0).id, 1u);
   EXPECT_EQ(queue.peek(3).id, 4u);
-  EXPECT_THROW(queue.peek(4), std::out_of_range);
+  EXPECT_THROW((void)queue.peek(4), std::out_of_range);
 }
 
 TEST(PacketQueue, DrainDeliversEverything) {
@@ -66,6 +66,40 @@ TEST(PacketQueue, DrainDeliversEverything) {
   queue.drain([&](const Packet& packet) { drained.push_back(packet.id); });
   EXPECT_EQ(drained, (std::vector<std::uint64_t>{1, 2, 3, 4}));
   EXPECT_TRUE(queue.empty());
+}
+
+TEST(PacketQueue, RequeueFrontOnFullQueueFails) {
+  PacketQueue queue(3);
+  for (std::uint64_t i = 1; i <= 3; ++i) EXPECT_TRUE(queue.push(make_packet(i), 0.0));
+  EXPECT_FALSE(queue.requeue_front(make_packet(0)));
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.head().id, 1u);
+  // A requeue that fills the last free slot succeeds; the next fails.
+  EXPECT_EQ(queue.pop().id, 1u);
+  EXPECT_TRUE(queue.requeue_front(make_packet(1)));
+  EXPECT_FALSE(queue.requeue_front(make_packet(0)));
+  for (std::uint64_t i = 1; i <= 3; ++i) EXPECT_EQ(queue.pop().id, i);
+}
+
+TEST(PacketQueue, StorageTracksUseNotCapacity) {
+  PacketQueue queue(50);  // Table II buffer size
+  EXPECT_EQ(queue.capacity(), 50u);
+  EXPECT_EQ(queue.allocated(), 0u);  // idle queue: no packet storage
+  std::uint64_t dropped = 0;
+  queue.set_overflow_callback([&](const Packet&, double) { ++dropped; });
+  for (std::uint64_t i = 1; i <= 50; ++i) EXPECT_TRUE(queue.push(make_packet(i), 0.0));
+  EXPECT_EQ(queue.allocated(), 50u);
+  EXPECT_FALSE(queue.push(make_packet(51), 0.0));  // overflow exactly at capacity
+  EXPECT_EQ(dropped, 1u);
+  EXPECT_EQ(queue.overflow_drops(), 1u);
+  EXPECT_EQ(queue.capacity(), 50u);
+  for (std::uint64_t i = 1; i <= 50; ++i) EXPECT_EQ(queue.peek(i - 1).id, i);
+  std::size_t drained = 0;
+  queue.drain([&](const Packet&) { ++drained; });
+  EXPECT_EQ(drained, 50u);
+  EXPECT_EQ(queue.allocated(), 0u);  // drained (dead / promoted) node frees it
+  EXPECT_TRUE(queue.push(make_packet(52), 1.0));
+  EXPECT_EQ(queue.head().id, 52u);
 }
 
 TEST(PacketQueue, HeadMutableRetries) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -184,11 +185,15 @@ TEST(SweepService, ConcurrentPollersSeeConsistentProgress) {
   // Many clients poll the same sweep while it drains: every response
   // must be a complete 200 document naming the sweep, never a torn or
   // errored one.  Each poller stops once it observes a terminal state.
+  // The budget is wall time (the same 120 s wait_idle gets below), not
+  // a poll count: on a loaded host the sweep can outlast any fixed
+  // number of yields without anything being wrong.
   std::atomic<bool> failed{false};
   std::vector<std::thread> pollers;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
   for (int p = 0; p < 4; ++p) {
-    pollers.emplace_back([&service, &failed] {
-      for (int i = 0; i < 20000; ++i) {
+    pollers.emplace_back([&service, &failed, deadline] {
+      while (std::chrono::steady_clock::now() < deadline) {
         const HttpResponse response = service.handle(make_request("GET", "/sweeps/s1"));
         if (response.status != 200 || !contains(response.body, "\"id\":\"s1\"")) {
           failed.store(true);

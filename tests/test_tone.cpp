@@ -187,7 +187,7 @@ TEST(ToneMonitor, Validation) {
   EXPECT_THROW(ToneMonitor([](double) { return 0.0; }, -1.0, 0.0, util::Rng(1)),
                std::invalid_argument);
   ToneMonitor detached([](double) { return 0.0; }, 1e-3, 0.0, util::Rng(1));
-  EXPECT_THROW(detached.observed_state(0.0), std::logic_error);
+  EXPECT_THROW((void)detached.observed_state(0.0), std::logic_error);
 }
 
 }  // namespace

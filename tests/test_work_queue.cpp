@@ -175,6 +175,62 @@ TEST(ClaimBoard, StaleClaimIsStolenExactlyOnce) {
   fs::remove_all(cache);
 }
 
+TEST(ClaimBoard, EvictSparesAClaimPublishedSinceItWasJudged) {
+  // The steal race, replayed deterministically: a slow stealer read the
+  // stale claim, a fast one evicted it and published its own, and only
+  // then does the slow one act on what it read.
+  const fs::path cache = scratch_dir("claim_aba");
+  {
+    ClaimBoard crashed = make_board(cache, kSweep, 0.05);
+    ASSERT_EQ(crashed.try_claim(7), ClaimBoard::Claim::kWon);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // lease expires
+  ClaimBoard fast = make_board(cache, kSweep, 30.0);
+  ClaimBoard slow = make_board(cache, kSweep, 30.0);
+  const fs::path claim = fs::path(fast.dir()) / "job_7.claim";
+  std::ostringstream judged;
+  judged << std::ifstream(claim, std::ios::binary).rdbuf();
+
+  ASSERT_EQ(fast.try_claim(7), ClaimBoard::Claim::kWon);
+  EXPECT_EQ(fast.stolen(), 1u);
+  EXPECT_FALSE(slow.evict(7, judged.str()));  // the corpse is gone: nothing to do
+  const auto info = slow.peek(7);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->token, fast.token());  // the fresh claim still stands
+  EXPECT_FALSE(fs::exists(slow.eviction_lock_path(7, judged.str())));
+  EXPECT_EQ(slow.try_claim(7), ClaimBoard::Claim::kBusy);
+  fs::remove_all(cache);
+}
+
+TEST(ClaimBoard, EvictionLockOfACrashedStealerExpiresAfterALease) {
+  const fs::path cache = scratch_dir("claim_lock");
+  {
+    ClaimBoard crashed = make_board(cache, kSweep, 0.05);
+    ASSERT_EQ(crashed.try_claim(7), ClaimBoard::Claim::kWon);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // lease expires
+  ClaimBoard patient = make_board(cache, kSweep, 30.0);
+  std::ostringstream judged;
+  judged << std::ifstream(fs::path(patient.dir()) / "job_7.claim", std::ios::binary).rdbuf();
+  // A stealer took the eviction lock for this stale claim and died.
+  const std::string lock = patient.eviction_lock_path(7, judged.str());
+  std::ofstream(lock) << "dead stealer";
+
+  // Within its lease the lock reads as a peer mid-eviction: hands off.
+  EXPECT_EQ(patient.try_claim(7), ClaimBoard::Claim::kBusy);
+  EXPECT_EQ(patient.stolen(), 0u);
+  EXPECT_TRUE(fs::exists(lock));
+
+  // A board with a 50 ms lease presumes the 150 ms old lock abandoned,
+  // clears it, and steals the claim.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ClaimBoard brisk = make_board(cache, kSweep, 0.05);
+  EXPECT_EQ(brisk.try_claim(7), ClaimBoard::Claim::kWon);
+  EXPECT_EQ(brisk.stolen(), 1u);
+  EXPECT_FALSE(fs::exists(lock));
+  fs::remove_all(cache);
+}
+
 TEST(ClaimBoard, RefreshKeepsALongRunningHolderSafe) {
   // A healthy holder refreshing inside its lease is never stolen from,
   // even when the cell takes many leases to compute.
