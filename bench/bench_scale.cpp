@@ -17,6 +17,11 @@
 // network, not the horizon or some super-linear structure.  The exit
 // code enforces both gates.
 //
+// Each point also reports its wall ns per event, and the JSON carries
+// the growth of that figure from 1k to the largest N.  At constant
+// density per-event cost should not grow with N; the growth is recorded
+// as a baseline and not gated.
+//
 // Usage: bench_scale [--fast] [key=value ...]
 //   --fast | fast=1   smoke sweep: N up to 20k, shorter horizon
 //   seed=<n>          master seed (default 2005)
@@ -127,9 +132,13 @@ ScalePoint run_point_isolated(std::size_t n, std::uint64_t seed, double sim_s) {
   return point;
 }
 
+double ns_per_event(const ScalePoint& point) {
+  return point.events > 0 ? point.wall_s * 1e9 / static_cast<double>(point.events) : 0.0;
+}
+
 void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
-                bool sub_quadratic, double footprint_growth, bool footprint_flat, double sim_s,
-                const std::string& path) {
+                bool sub_quadratic, double footprint_growth, bool footprint_flat,
+                double ns_growth, double sim_s, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -145,11 +154,12 @@ void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
     const ScalePoint& p = points[i];
     std::fprintf(out,
                  "    {\"n\": %zu, \"field_size_m\": %.1f, \"wall_s\": %.3f, "
-                 "\"events\": %llu, \"events_per_sec\": %.0f, \"peak_rss_mb\": %.1f, "
-                 "\"bytes_per_node\": %.0f}%s\n",
+                 "\"events\": %llu, \"events_per_sec\": %.0f, \"ns_per_event\": %.0f, "
+                 "\"peak_rss_mb\": %.1f, \"bytes_per_node\": %.0f}%s\n",
                  p.n, p.field_size_m, p.wall_s, static_cast<unsigned long long>(p.events),
-                 p.wall_s > 0.0 ? static_cast<double>(p.events) / p.wall_s : 0.0, p.peak_rss_mb,
-                 p.bytes_per_node, i + 1 < points.size() ? "," : "");
+                 p.wall_s > 0.0 ? static_cast<double>(p.events) / p.wall_s : 0.0,
+                 ns_per_event(p), p.peak_rss_mb, p.bytes_per_node,
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"
@@ -158,10 +168,11 @@ void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
                "  \"sub_quadratic\": %s,\n"
                "  \"bytes_per_node_growth_10k_to_max\": %.2f,\n"
                "  \"footprint_slack\": %.2f,\n"
-               "  \"footprint_flat\": %s\n"
+               "  \"footprint_flat\": %s,\n"
+               "  \"ns_per_event_growth_1k_to_max\": %.2f\n"
                "}\n",
                growth_1k_10k, sub_quadratic ? "true" : "false", footprint_growth, kFootprintSlack,
-               footprint_flat ? "true" : "false");
+               footprint_flat ? "true" : "false", ns_growth);
   std::fclose(out);
   std::printf("\nBENCH_scale -> %s\n", path.c_str());
 }
@@ -212,20 +223,24 @@ int main(int argc, char** argv) {
   }
 
   std::printf("==== bench_scale ====\n");
-  std::printf("%8s %12s %10s %14s %14s %10s %10s\n", "nodes", "field (m)", "wall (s)", "events",
-              "events/s", "peak MB", "B/node");
+  std::printf("%8s %12s %10s %14s %14s %8s %10s %10s\n", "nodes", "field (m)", "wall (s)",
+              "events", "events/s", "ns/ev", "peak MB", "B/node");
   std::vector<ScalePoint> points;
   double wall_1k = 0.0;
   double wall_10k = 0.0;
   double bytes_10k = 0.0;
+  double ns_1k = 0.0;
   for (const std::size_t n : sizes) {
     const ScalePoint point = run_point_isolated(n, seed, sim_s);
-    std::printf("%8zu %12.1f %10.3f %14llu %14.0f %10.1f %10.0f\n", point.n,
+    std::printf("%8zu %12.1f %10.3f %14llu %14.0f %8.0f %10.1f %10.0f\n", point.n,
                 point.field_size_m, point.wall_s, static_cast<unsigned long long>(point.events),
                 point.wall_s > 0.0 ? static_cast<double>(point.events) / point.wall_s : 0.0,
-                point.peak_rss_mb, point.bytes_per_node);
+                ns_per_event(point), point.peak_rss_mb, point.bytes_per_node);
     std::fflush(stdout);
-    if (point.n == 1000) wall_1k = point.wall_s;
+    if (point.n == 1000) {
+      wall_1k = point.wall_s;
+      ns_1k = ns_per_event(point);
+    }
     if (point.n == 10000) {
       wall_10k = point.wall_s;
       bytes_10k = point.bytes_per_node;
@@ -241,6 +256,9 @@ int main(int argc, char** argv) {
   const bool footprint_flat = footprint_growth > 0.0 && footprint_growth <= kFootprintSlack;
   std::printf("bytes/node 10k -> %zu: %.2fx (gate <= %.2fx) -> %s\n", points.back().n,
               footprint_growth, kFootprintSlack, footprint_flat ? "flat" : "NOT flat");
-  write_json(points, growth, sub_quadratic, footprint_growth, footprint_flat, sim_s, json_path);
+  const double ns_growth = ns_1k > 0.0 ? ns_per_event(points.back()) / ns_1k : 0.0;
+  std::printf("ns/event 1k -> %zu: %.2fx (recorded, not gated)\n", points.back().n, ns_growth);
+  write_json(points, growth, sub_quadratic, footprint_growth, footprint_flat, ns_growth, sim_s,
+             json_path);
   return sub_quadratic && footprint_flat ? 0 : 1;
 }

@@ -11,17 +11,15 @@ JakesRayleighFading::JakesRayleighFading(double doppler_hz, util::Rng rng,
   if (doppler_hz <= 0.0) throw std::invalid_argument("JakesRayleighFading: f_d must be > 0");
   if (oscillators == 0) throw std::invalid_argument("JakesRayleighFading: need oscillators");
   const auto m = static_cast<double>(oscillators);
-  cos_alpha_.reserve(oscillators);
-  phase_i_.reserve(oscillators);
-  phase_q_.reserve(oscillators);
+  oscillators_.reserve(oscillators);
   // Zheng-Xiao: alpha_n = (2 pi n - pi + theta) / (4 M) with one random
   // theta per process; independent random phases per quadrature.
   const double theta = rng.uniform(-M_PI, M_PI);
   for (std::size_t n = 1; n <= oscillators; ++n) {
     const double alpha = (2.0 * M_PI * static_cast<double>(n) - M_PI + theta) / (4.0 * m);
-    cos_alpha_.push_back(std::cos(alpha));
-    phase_i_.push_back(rng.uniform(-M_PI, M_PI));
-    phase_q_.push_back(rng.uniform(-M_PI, M_PI));
+    const double phase_i = rng.uniform(-M_PI, M_PI);
+    const double phase_q = rng.uniform(-M_PI, M_PI);
+    oscillators_.push_back({std::cos(alpha), phase_i, phase_q});
   }
   scale_ = std::sqrt(1.0 / m);  // E[h_I^2] = E[h_Q^2] = 1/2 -> E[|h|^2] = 1
 }
@@ -29,18 +27,14 @@ JakesRayleighFading::JakesRayleighFading(double doppler_hz, util::Rng rng,
 double JakesRayleighFading::in_phase(double time_s) const {
   const double w = 2.0 * M_PI * doppler_hz_ * time_s;
   double sum = 0.0;
-  for (std::size_t n = 0; n < cos_alpha_.size(); ++n) {
-    sum += std::cos(w * cos_alpha_[n] + phase_i_[n]);
-  }
+  for (const Oscillator& osc : oscillators_) sum += std::cos(w * osc.cos_alpha + osc.phase_i);
   return scale_ * sum;
 }
 
 double JakesRayleighFading::quadrature(double time_s) const {
   const double w = 2.0 * M_PI * doppler_hz_ * time_s;
   double sum = 0.0;
-  for (std::size_t n = 0; n < cos_alpha_.size(); ++n) {
-    sum += std::sin(w * cos_alpha_[n] + phase_q_[n]);
-  }
+  for (const Oscillator& osc : oscillators_) sum += std::sin(w * osc.cos_alpha + osc.phase_q);
   return scale_ * sum;
 }
 

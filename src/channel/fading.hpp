@@ -10,6 +10,13 @@
 //     ~0.423/fd (~140 ms at the paper's <1 m/s mobility).
 // A Rician variant (LoS component) and an iid block-fading variant are
 // included for ablations and tests.
+//
+// Because Jakes and Rician fading are pure functions of time, a model
+// can be dropped and rebuilt from its RNG stream without changing a
+// single sample: the LinkManager releases them at each round boundary
+// (stateless() == true).  Block fading draws its blocks sequentially
+// from a live stream, so its state cannot be re-derived and it stays
+// resident for the link's lifetime.
 #pragma once
 
 #include <vector>
@@ -28,6 +35,11 @@ class FadingModel {
 
   /// Channel coherence time estimate in seconds (0.423 / f_d convention).
   [[nodiscard]] virtual double coherence_time_s() const = 0;
+
+  /// True when power_gain is a pure function of time (all randomness
+  /// drawn at construction), so rebuilding the model from the same RNG
+  /// stream reproduces every sample bit for bit.
+  [[nodiscard]] virtual bool stateless() const noexcept = 0;
 };
 
 /// Sum-of-sinusoids Rayleigh fading (Zheng & Xiao 2002 phases).
@@ -39,16 +51,23 @@ class JakesRayleighFading final : public FadingModel {
 
   [[nodiscard]] double power_gain(double time_s) override;
   [[nodiscard]] double coherence_time_s() const override { return 0.423 / doppler_hz_; }
+  [[nodiscard]] bool stateless() const noexcept override { return true; }
 
   /// In-phase / quadrature components (exposed for distribution tests).
   [[nodiscard]] double in_phase(double time_s) const;
   [[nodiscard]] double quadrature(double time_s) const;
 
  private:
+  // One contiguous table, a single allocation.  Both quadrature sums
+  // walk it front to back; that order is part of the exact output.
+  struct Oscillator {
+    double cos_alpha;  ///< Doppler frequency factor
+    double phase_i;
+    double phase_q;
+  };
+
   double doppler_hz_;
-  std::vector<double> cos_alpha_;  // Doppler frequency factors per oscillator
-  std::vector<double> phase_i_;
-  std::vector<double> phase_q_;
+  std::vector<Oscillator> oscillators_;
   double scale_;
 };
 
@@ -60,6 +79,7 @@ class RicianFading final : public FadingModel {
 
   [[nodiscard]] double power_gain(double time_s) override;
   [[nodiscard]] double coherence_time_s() const override { return diffuse_.coherence_time_s(); }
+  [[nodiscard]] bool stateless() const noexcept override { return true; }
 
  private:
   JakesRayleighFading diffuse_;
@@ -77,6 +97,7 @@ class BlockRayleighFading final : public FadingModel {
 
   [[nodiscard]] double power_gain(double time_s) override;
   [[nodiscard]] double coherence_time_s() const override { return block_s_; }
+  [[nodiscard]] bool stateless() const noexcept override { return false; }
 
  private:
   double block_s_;

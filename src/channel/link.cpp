@@ -1,5 +1,6 @@
 #include "channel/link.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,8 +30,18 @@ Link::Link(const PathLossModel* path_loss, MobilityModel* a, MobilityModel* b,
   }
 }
 
-double Link::fading_gain(double time_s) {
-  if (fading_cache_window_s_ <= 0.0) return fading_->power_gain(time_s);
+namespace {
+
+// Fading gain can be arbitrarily close to 0 in a deep fade; floor it so
+// the dB conversion stays finite (-80 dB fade is far below any mode).
+[[nodiscard]] double fade_to_db(double gain) noexcept {
+  return util::linear_to_db(std::max(gain, 1e-8));
+}
+
+}  // namespace
+
+double Link::fading_db(double time_s) {
+  if (fading_cache_window_s_ <= 0.0) return fade_to_db(fading_->power_gain(time_s));
   const double window = std::floor(time_s / fading_cache_window_s_);
   if (window != cached_window_index_) {
     cached_window_index_ = window;
@@ -38,9 +49,20 @@ double Link::fading_gain(double time_s) {
     // and immune to floor(w*window_s/window_s) rounding below w — which
     // matters for BlockRayleighFading, whose internal block length
     // coincides with the cache window.
-    cached_fading_gain_ = fading_->power_gain((window + 0.5) * fading_cache_window_s_);
+    cached_fading_db_ = fade_to_db(fading_->power_gain((window + 0.5) * fading_cache_window_s_));
   }
-  return cached_fading_gain_;
+  return cached_fading_db_;
+}
+
+bool Link::release_fading() noexcept {
+  if (!fading_ || !fading_->stateless()) return false;
+  fading_.reset();
+  return true;
+}
+
+void Link::restore_fading(std::unique_ptr<FadingModel> fading) {
+  if (!fading) throw std::invalid_argument("Link: null fading model");
+  fading_ = std::move(fading);
 }
 
 double Link::distance_m_at(double time_s) {
@@ -50,10 +72,7 @@ double Link::distance_m_at(double time_s) {
 double Link::gain_db(double time_s) {
   const double loss = path_loss_->loss_db(distance_m_at(time_s));
   const double shadow = shadowing_.value_db(time_s);
-  // Fading gain can be arbitrarily close to 0 in a deep fade; floor it so
-  // the dB conversion stays finite (-80 dB fade is far below any mode).
-  const double fade = std::max(fading_gain(time_s), 1e-8);
-  return -loss + shadow + util::linear_to_db(fade);
+  return -loss + shadow + fading_db(time_s);
 }
 
 double Link::snr_db(double time_s, const LinkBudget& budget) {

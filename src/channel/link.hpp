@@ -6,6 +6,12 @@
 // One Link object serves both directions (the paper's reciprocity
 // assumption G_ab == G_ba), which is exactly what lets sensors estimate
 // the data-channel CSI from the received tone-signal strength.
+//
+// The coherence-window cache keeps the fading term already in dB.  The
+// fading model is detachable state: a stateless one (Jakes, Rician) may
+// be released while the pair is idle and restored from its RNG stream
+// (LinkManager does both), whereas the shadowing process and the window
+// cache carry history and always stay in the Link.
 #pragma once
 
 #include <memory>
@@ -27,6 +33,23 @@ struct LinkBudget {
 /// at T = 290 K:  -174 dBm/Hz + 10 log10(B) + NF.
 [[nodiscard]] double noise_floor_dbm(double bandwidth_hz, double noise_figure_db) noexcept;
 
+/// SNR reported for a pair beyond `radio_range_m` (or with no link this
+/// round): no link exists, no link is created, nothing is receivable.
+inline constexpr double kOutOfRangeSnrDb = -1e9;
+
+/// The true SNR of one node's channel to its current peer, as a function
+/// of time: the seam through which the tone monitor (CSI) and the MAC
+/// (frame errors) read the channel.  At run time it is a RoundLink (see
+/// link_manager.hpp); unit tests substitute arbitrary SNR(t) curves.
+class SnrSource {
+ public:
+  /// True SNR in dB at `time_s` (kOutOfRangeSnrDb when there is no link).
+  [[nodiscard]] virtual double snr_db(double time_s) = 0;
+
+ protected:
+  ~SnrSource() = default;
+};
+
 class Link {
  public:
   /// @param path_loss  shared distance model (owned by the LinkManager)
@@ -44,6 +67,7 @@ class Link {
        double fading_cache_window_s = 0.0);
 
   /// Composite channel power gain in dB (negative for real links).
+  /// Requires a resident fading model (has_fading()).
   [[nodiscard]] double gain_db(double time_s);
 
   /// Instantaneous SNR in dB for the given budget.
@@ -52,17 +76,23 @@ class Link {
   /// Current endpoint distance (metres).
   [[nodiscard]] double distance_m_at(double time_s);
 
-  [[nodiscard]] const FadingModel& fading() const noexcept { return *fading_; }
+  /// Whether the fading model is resident (see release_fading).
+  [[nodiscard]] bool has_fading() const noexcept { return fading_ != nullptr; }
 
-  /// Coherence-window cache length (0 when caching is disabled).
-  [[nodiscard]] double fading_cache_window_s() const noexcept { return fading_cache_window_s_; }
+  /// Drop the fading model if it is stateless (FadingModel::stateless);
+  /// returns whether it was dropped.  A dropped model must be restored
+  /// with restore_fading — rebuilt from the same stream — before the
+  /// next query.
+  bool release_fading() noexcept;
+  void restore_fading(std::unique_ptr<FadingModel> fading);
 
  private:
-  /// Fading power gain, served from the coherence-window cache when
-  /// enabled (evaluated at the window midpoint so the cached value
-  /// depends only on the window index, not on the query pattern — and
-  /// lands robustly inside BlockRayleighFading's matching block).
-  [[nodiscard]] double fading_gain(double time_s);
+  /// Fading term 10 log10(max(gain, 1e-8)), served from the
+  /// coherence-window cache when enabled (evaluated at the window
+  /// midpoint so the cached value depends only on the window index, not
+  /// on the query pattern — and lands robustly inside
+  /// BlockRayleighFading's matching block).
+  [[nodiscard]] double fading_db(double time_s);
 
   const PathLossModel* path_loss_;
   MobilityModel* a_;
@@ -71,7 +101,7 @@ class Link {
   std::unique_ptr<FadingModel> fading_;
   double fading_cache_window_s_;
   double cached_window_index_ = -1.0;
-  double cached_fading_gain_ = 1.0;
+  double cached_fading_db_ = 0.0;
 };
 
 }  // namespace caem::channel

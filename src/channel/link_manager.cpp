@@ -27,6 +27,16 @@ constexpr std::size_t kInitialTableSize = 64;           // power of two
   return x;
 }
 
+// Per-pair RNG stream name, "<kind>/<lo>-<hi>".
+[[nodiscard]] std::string stream_tag(const char* kind, NodeId lo, NodeId hi) {
+  std::string tag = kind;
+  tag += '/';
+  tag += std::to_string(lo);
+  tag += '-';
+  tag += std::to_string(hi);
+  return tag;
+}
+
 }  // namespace
 
 const char* to_string(FadingKind kind) noexcept {
@@ -65,8 +75,8 @@ NodeId LinkManager::add_static_node(Vec2 position) {
   return add_node(std::make_unique<StaticPosition>(position));
 }
 
-std::unique_ptr<FadingModel> LinkManager::make_fading(const std::string& stream_tag) {
-  util::Rng stream = rng_->make_stream(stream_tag);
+std::unique_ptr<FadingModel> LinkManager::make_fading(NodeId lo, NodeId hi) {
+  util::Rng stream = rng_->make_stream(stream_tag("fading", lo, hi));
   switch (config_.fading_kind) {
     case FadingKind::kJakesRayleigh:
       return std::make_unique<JakesRayleighFading>(config_.doppler_hz, stream,
@@ -108,28 +118,28 @@ Link& LinkManager::link(NodeId a, NodeId b) {
     throw std::invalid_argument("LinkManager: unknown node id");
   }
   const std::uint64_t key = pair_key(a, b);
-  std::size_t idx = probe(key);
-  if (table_keys_[idx] == key) return pool_[table_slots_[idx]];
-
-  // Cold miss: one formatting pass builds the shadowing stream tag, and
-  // the fading tag reuses the buffer — "shadow" and "fading" are both
-  // six characters, so only the prefix is swapped in place.  The stream
-  // NAMES are unchanged ("shadow/<lo>-<hi>", "fading/<lo>-<hi>"), which
-  // is what keeps pre-existing seeds byte-identical.
   const NodeId lo = a < b ? a : b;
   const NodeId hi = a < b ? b : a;
-  std::string tag = "shadow/";
-  tag += std::to_string(lo);
-  tag += '-';
-  tag += std::to_string(hi);
+  std::size_t idx = probe(key);
+  if (table_keys_[idx] == key) {
+    Link& found = pool_[table_slots_[idx]];
+    if (!found.has_fading()) {
+      found.restore_fading(make_fading(lo, hi));
+      ++resident_fading_;
+    }
+    return found;
+  }
+
+  // Cold miss.  The stream NAMES ("shadow/<lo>-<hi>", "fading/<lo>-<hi>")
+  // are what keep pre-existing seeds byte-identical.
   GaussMarkovShadowing shadowing(config_.shadowing_sigma_db, config_.shadowing_tau_s,
-                                 rng_->make_stream(tag));
-  tag.replace(0, 6, "fading");
-  auto fading = make_fading(tag);
+                                 rng_->make_stream(stream_tag("shadow", lo, hi)));
+  auto fading = make_fading(lo, hi);
   const double cache_window_s =
       config_.snr_cache_enabled ? fading->coherence_time_s() : 0.0;
   pool_.emplace_back(path_loss_.get(), nodes_[a].get(), nodes_[b].get(),
                      std::move(shadowing), std::move(fading), cache_window_s);
+  ++resident_fading_;
 
   table_keys_[idx] = key;
   table_slots_[idx] = static_cast<std::uint32_t>(pool_.size() - 1);
@@ -137,6 +147,10 @@ Link& LinkManager::link(NodeId a, NodeId b) {
     grow_table();
   }
   return pool_.back();
+}
+
+void LinkManager::release_fading(Link& link) noexcept {
+  if (link.release_fading()) --resident_fading_;
 }
 
 bool LinkManager::in_range(NodeId a, NodeId b, double time_s) {
@@ -151,6 +165,24 @@ bool LinkManager::in_range(NodeId a, NodeId b, double time_s) {
 double LinkManager::snr_db(NodeId a, NodeId b, double time_s, const LinkBudget& budget) {
   if (!in_range(a, b, time_s)) return kOutOfRangeSnrDb;
   return link(a, b).snr_db(time_s, budget);
+}
+
+void RoundLink::bind(NodeId peer) noexcept {
+  link_ = nullptr;
+  peer_ = peer;
+}
+
+void RoundLink::release() noexcept {
+  if (link_ != nullptr) links_->release_fading(*link_);
+  link_ = nullptr;
+  peer_ = kNoPeer;
+}
+
+double RoundLink::snr_db(double time_s) {
+  if (peer_ == kNoPeer) return kOutOfRangeSnrDb;
+  if (!links_->in_range(self_, peer_, time_s)) return kOutOfRangeSnrDb;
+  if (link_ == nullptr) link_ = &links_->link(self_, peer_);
+  return link_->snr_db(time_s, *budget_);
 }
 
 }  // namespace caem::channel

@@ -15,6 +15,15 @@
 // range are never materialised at all: snr_db answers kOutOfRangeSnrDb
 // from the positions alone, which is what keeps the live link set
 // O(N * neighbors) instead of O(N^2) on large fields.
+//
+// Round-scoped handles: a sensor talks to one CH for a whole LEACH
+// round, so the network gives each node a RoundLink that resolves the
+// pair once and then queries the Link directly.  When the round closes
+// the handle releases the link's fading model if it is stateless
+// (Jakes, Rician — about 0.5 kB each); link() re-derives it from the
+// pair's stream "fading/<lo>-<hi>" the next time the pair is resolved,
+// so the resident fading set is bounded by one round's members instead
+// of growing with every pair the run has ever used.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +47,6 @@ enum class FadingKind { kJakesRayleigh, kRician, kBlock };
 /// Parse "jakes" (alias "jakes-rayleigh"), "rician" or "block"; throws
 /// std::invalid_argument on anything else.
 [[nodiscard]] FadingKind fading_kind_from_string(const std::string& name);
-
-/// SNR reported for a pair beyond `radio_range_m`: no link exists, no
-/// link is created, nothing is receivable.
-inline constexpr double kOutOfRangeSnrDb = -1e9;
 
 /// Channel-wide configuration shared by every link in a run.
 struct ChannelConfig {
@@ -85,10 +90,18 @@ class LinkManager {
   [[nodiscard]] MobilityModel& mobility(NodeId id) { return *nodes_.at(id); }
 
   /// The (shared, direction-free) link between two distinct nodes,
-  /// created on first use.  Throws std::invalid_argument for a == b or
-  /// unknown ids.  References remain valid for the manager's lifetime
-  /// (pooled storage never moves a Link).
+  /// created on first use, with its fading model resident (re-derived
+  /// from its stream if it was released).  Throws std::invalid_argument
+  /// for a == b or unknown ids.  References remain valid for the
+  /// manager's lifetime (pooled storage never moves a Link).
   [[nodiscard]] Link& link(NodeId a, NodeId b);
+
+  /// Drop `link`'s fading model if it is stateless; the next link() call
+  /// for the pair rebuilds it bit-identically.  Block fading stays.
+  void release_fading(Link& link) noexcept;
+
+  /// Fading models currently held in memory (digest-neutral diagnostic).
+  [[nodiscard]] std::size_t resident_fading_count() const noexcept { return resident_fading_; }
 
   /// Is the pair within the configured radio range at `time_s`?  Always
   /// true when no cutoff is configured.
@@ -102,7 +115,7 @@ class LinkManager {
   [[nodiscard]] std::size_t live_link_count() const noexcept { return pool_.size(); }
 
  private:
-  [[nodiscard]] std::unique_ptr<FadingModel> make_fading(const std::string& stream_tag);
+  [[nodiscard]] std::unique_ptr<FadingModel> make_fading(NodeId lo, NodeId hi);
   /// Slot of `key` in the open-addressed table, or the empty slot where
   /// it belongs (linear probing; table is never full).
   [[nodiscard]] std::size_t probe(std::uint64_t key) const noexcept;
@@ -119,6 +132,45 @@ class LinkManager {
   std::deque<Link> pool_;
   std::vector<std::uint64_t> table_keys_;
   std::vector<std::uint32_t> table_slots_;
+  std::size_t resident_fading_ = 0;
+};
+
+/// One node's channel to its peer for one LEACH round: a sensor's link
+/// to its cluster head.  The pair is fixed for the round, so the handle
+/// resolves the Link once, at the round's first query, and later
+/// queries go straight to it.  With a radio range configured every
+/// query still runs the range test first, exactly as
+/// LinkManager::snr_db does (a waypoint model must see the same
+/// position queries).  Unbound or out of range, the handle answers
+/// kOutOfRangeSnrDb and materialises no Link.
+class RoundLink final : public SnrSource {
+ public:
+  /// @param links   the run's manager (must outlive the handle)
+  /// @param budget  the run's link budget (must outlive the handle)
+  RoundLink(LinkManager* links, NodeId self, const LinkBudget* budget) noexcept
+      : links_(links), budget_(budget), self_(self) {}
+
+  // Its owner's tone monitor holds the handle's address.
+  RoundLink(const RoundLink&) = delete;
+  RoundLink& operator=(const RoundLink&) = delete;
+
+  /// Point the handle at `peer` for the round that is starting.
+  void bind(NodeId peer) noexcept;
+
+  /// Round end: release the resolved link's stateless fading model and
+  /// unbind, so no query can outlive its round.
+  void release() noexcept;
+
+  [[nodiscard]] double snr_db(double time_s) override;
+
+ private:
+  static constexpr NodeId kNoPeer = ~NodeId{0};
+
+  LinkManager* links_;
+  Link* link_ = nullptr;  ///< resolved at the round's first query
+  const LinkBudget* budget_;
+  NodeId self_;
+  NodeId peer_ = kNoPeer;
 };
 
 }  // namespace caem::channel

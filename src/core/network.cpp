@@ -11,6 +11,7 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
       sim_(sim::queue_kind_from_string(config_.sim_queue_kind)),
       rng_(seed),
       links_(config_.channel, &rng_),
+      budget_(config_.link_budget()),
       table_(),
       timing_(phy::FrameFormat{config_.packet_bits, config_.header_bits, config_.preamble_s},
               &table_),
@@ -51,7 +52,6 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
   nodes_.reserve(config_.node_count);
   sources_.reserve(config_.node_count);
   traffic_streams_.reserve(config_.node_count);
-  current_ch_.assign(config_.node_count, kNoCh);
   active_clusters_.reserve(
       static_cast<std::size_t>(config_.ch_fraction * static_cast<double>(config_.node_count)) +
       1);
@@ -72,10 +72,9 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
     }
     if (channel_id != id) throw std::logic_error("Network: node id mismatch");
 
-    auto csi = [this, id](double t) { return link_snr_db(id, t); };
+    channel::RoundLink& round_link = round_links_.emplace_back(&links_, channel_id, &budget_);
     auto node = std::make_unique<Node>(
-        id, position, config_, spec, &sim_, &table_, &timing_, &error_model_,
-        tone::ToneMonitor::CsiProvider(csi), mac::SensorMac::TrueSnrProvider(csi),
+        id, position, config_, spec, &sim_, &table_, &timing_, &error_model_, &round_link,
         rng_.make_stream("mac/" + std::to_string(id)),
         rng_.make_stream("csi/" + std::to_string(id)));
 
@@ -109,12 +108,12 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
 
 Network::~Network() = default;
 
-double Network::link_snr_db(std::uint32_t id, double time_s) {
-  // Per-tone-check path: ids are dense by construction, skip the bounds
-  // re-check of at().
-  const std::uint32_t ch = current_ch_[id];
-  if (ch == kNoCh || ch == id) return -1e9;  // no link this round
-  return links_.snr_db(id, ch, time_s, config_.link_budget());
+Network::ChannelResidency Network::channel_residency() const noexcept {
+  ChannelResidency residency;
+  residency.links = links_.live_link_count();
+  residency.resident_fading = links_.resident_fading_count();
+  for (const auto& cluster : active_clusters_) residency.round_members += cluster.members.size();
+  return residency;
 }
 
 std::vector<bool> Network::alive_flags() const {
@@ -158,12 +157,14 @@ void Network::close_round(double now_s) {
     cluster.mac->stop(now_s);
     collisions_total_ += cluster.mac->collisions();
     for (std::uint64_t c = 0; c < cluster.mac->collisions(); ++c) metrics_.record_collision();
+    // The round's member->CH links go idle: drop their stateless fading
+    // models (re-derived on the pair's next use) and unbind the handles.
+    for (const std::uint32_t member : cluster.members) round_links_[member].release();
   }
   active_clusters_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (hot_.is_ch[i]) nodes_[i]->set_cluster_head(false);
   }
-  current_ch_.assign(nodes_.size(), kNoCh);
 }
 
 void Network::begin_round(double now_s) {
@@ -182,7 +183,6 @@ void Network::begin_round(double now_s) {
   for (const auto& cluster : clusters) {
     Node& head = *nodes_.at(cluster.head);
     head.set_cluster_head(true);
-    current_ch_[cluster.head] = cluster.head;
     // Packets the head queued as an ordinary sensor are aggregated
     // locally now that it is the sink itself.
     head.queue().drain([this, now_s](const queueing::Packet& packet) {
@@ -216,7 +216,7 @@ void Network::begin_round(double now_s) {
     active.mac->start(now_s);
 
     for (const std::uint32_t member : cluster.members) {
-      current_ch_[member] = cluster.head;
+      round_links_[member].bind(cluster.head);
       Node& node = *nodes_.at(member);
       node.monitor().attach(active.broadcaster.get());
       node.mac().attach_round(now_s, active.mac.get());

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -109,6 +110,17 @@ class Network {
   /// Remaining energy per node (J).
   [[nodiscard]] std::vector<double> remaining_energy_j() const;
 
+  /// Channel residency, a digest-neutral diagnostic: member->CH pairs
+  /// ever materialised, fading models held in memory now, and sensors
+  /// bound to a CH this round.  With a stateless fading model (Jakes,
+  /// Rician) resident_fading never exceeds round_members.
+  struct ChannelResidency {
+    std::size_t links = 0;
+    std::size_t resident_fading = 0;
+    std::size_t round_members = 0;
+  };
+  [[nodiscard]] ChannelResidency channel_residency() const noexcept;
+
   /// The SoA hot-state mirror (alive, CH flag, queue depth, position,
   /// residual energy).  alive/is_ch/queue_depth are live; remaining_j is
   /// refreshed by remaining_energy_j(), position by positions().
@@ -142,20 +154,18 @@ class Network {
   void rebuild_relays(const std::vector<leach::Cluster>& clusters);
   void schedule_energy_snapshot();
   void schedule_queue_snapshot();
-  [[nodiscard]] double link_snr_db(std::uint32_t id, double time_s);
   [[nodiscard]] std::vector<bool> alive_flags() const;
   /// Node positions at a given time (mobility-aware; used for cluster
   /// formation at round boundaries).  Static layouts are cached once at
   /// construction; waypoint mobility refreshes the hot buffer in place.
   [[nodiscard]] const std::vector<channel::Vec2>& positions(double time_s);
 
-  static constexpr std::uint32_t kNoCh = 0xFFFFFFFFu;
-
   NetworkConfig config_;
   Protocol protocol_;
   sim::Simulator sim_;
   sim::RngRegistry rng_;
   channel::LinkManager links_;
+  channel::LinkBudget budget_;  ///< computed once; every RoundLink reads it
   phy::AbicmTable table_;
   phy::FrameTiming timing_;
   phy::PacketErrorModel error_model_;
@@ -170,6 +180,11 @@ class Network {
   routing::SinkModel sink_;
   routing::RelaySet relays_;
 
+  // One member->CH handle per node, bound at round start and released
+  // at round close.  Each node's tone monitor holds a pointer to its
+  // handle: a deque never moves its elements, and declaring it before
+  // nodes_ makes the handles outlive the nodes.
+  std::deque<channel::RoundLink> round_links_;
   std::vector<std::unique_ptr<Node>> nodes_;
   // Sized before node construction and never resized, so the mirror
   // pointers handed to nodes/queues stay valid for the network's
@@ -177,7 +192,6 @@ class Network {
   // mirroring the settle() convention above.
   mutable NodeHotState hot_;
   std::vector<std::unique_ptr<traffic::TrafficSource>> sources_;
-  std::vector<std::uint32_t> current_ch_;
   std::vector<ActiveCluster> active_clusters_;
 
   // Pre-resolved RNG stream handles: the per-packet path indexes a plain

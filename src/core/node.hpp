@@ -27,15 +27,16 @@ struct NetworkConfig;
 
 class Node {
  public:
-  /// Built by Network; see network.cpp for the wiring.  The protocol
-  /// spec supplies the CSI-gate policy and whether the head-of-line
-  /// deadline override (config.csi_gate_deadline_s) is armed.
+  /// Built by Network; see network.cpp for the wiring.  `csi` is the
+  /// node's round-scoped link to its CH (the tone monitor's oracle,
+  /// which the MAC also reads).  The protocol spec supplies the CSI-gate
+  /// policy and whether the head-of-line deadline override
+  /// (config.csi_gate_deadline_s) is armed.
   Node(std::uint32_t id, channel::Vec2 position, const NetworkConfig& config,
        const ProtocolSpec& protocol, sim::Simulator* sim,
        const phy::AbicmTable* table,
        const phy::FrameTiming* timing, const phy::PacketErrorModel* error_model,
-       tone::ToneMonitor::CsiProvider csi_estimate, mac::SensorMac::TrueSnrProvider true_snr,
-       util::Rng mac_rng, util::Rng csi_rng);
+       channel::SnrSource* csi, util::Rng mac_rng, util::Rng csi_rng);
 
   [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
   [[nodiscard]] channel::Vec2 position() const noexcept { return position_; }

@@ -23,7 +23,7 @@ SensorMac::SensorMac(sim::Simulator* sim, std::uint32_t node_id, SensorMacConfig
                      queueing::PacketQueue* queue, queueing::ThresholdController* controller,
                      tone::ToneMonitor* monitor, const phy::AbicmTable* table,
                      const phy::FrameTiming* timing, const phy::PacketErrorModel* error_model,
-                     TrueSnrProvider true_snr, util::Rng rng)
+                     util::Rng rng)
     : sim_(sim),
       node_id_(node_id),
       config_(config),
@@ -35,11 +35,10 @@ SensorMac::SensorMac(sim::Simulator* sim, std::uint32_t node_id, SensorMacConfig
       table_(table),
       timing_(timing),
       error_model_(error_model),
-      true_snr_(std::move(true_snr)),
       rng_(rng) {
   if (sim_ == nullptr || data_radio_ == nullptr || tone_radio_ == nullptr ||
       queue_ == nullptr || controller_ == nullptr || monitor_ == nullptr ||
-      table_ == nullptr || timing_ == nullptr || error_model_ == nullptr || !true_snr_) {
+      table_ == nullptr || timing_ == nullptr || error_model_ == nullptr) {
     throw std::invalid_argument("SensorMac: null component");
   }
 }
@@ -305,7 +304,7 @@ void SensorMac::complete_transmission(double now_s) {
     queueing::Packet packet = queue_->pop();
     ++counters_.frames_sent;
     const double frame_mid = burst_start_s_ + (static_cast<double>(i) + 0.5) * frame_air;
-    const double snr_db = true_snr_(frame_mid);
+    const double snr_db = monitor_->true_snr_db(frame_mid);
     const double per =
         error_model_->packet_error_rate(burst_mode_, snr_db, packet.payload_bits);
     if (!rng_.bernoulli(per)) {

@@ -10,6 +10,10 @@
 //
 // (*) the CSI gate is the ThresholdController: pure LEACH always passes,
 // Scheme 2 requires the 2 Mbps class, Scheme 1 adapts per Fig 6.
+//
+// The MAC holds no channel of its own: the gate reads the monitor's
+// noisy CSI estimate, and each frame's error draw reads the monitor's
+// oracle (the same round-scoped member->CH link) noise-free.
 #pragma once
 
 #include <cstdint>
@@ -69,16 +73,13 @@ class SensorMac final : public Transmitter {
  public:
   using DropCallback =
       std::function<void(const queueing::Packet&, queueing::DropReason, double now_s)>;
-  /// True link SNR (dB) used for the physical frame-error evaluation
-  /// (the *decision* CSI comes from the noisy ToneMonitor estimate).
-  using TrueSnrProvider = std::function<double(double now_s)>;
 
   SensorMac(sim::Simulator* sim, std::uint32_t node_id, SensorMacConfig config,
             energy::Radio* data_radio, energy::Radio* tone_radio,
             queueing::PacketQueue* queue, queueing::ThresholdController* controller,
             tone::ToneMonitor* monitor, const phy::AbicmTable* table,
             const phy::FrameTiming* timing, const phy::PacketErrorModel* error_model,
-            TrueSnrProvider true_snr, util::Rng rng);
+            util::Rng rng);
   ~SensorMac() override;
 
   SensorMac(const SensorMac&) = delete;
@@ -134,7 +135,6 @@ class SensorMac final : public Transmitter {
   const phy::AbicmTable* table_;
   const phy::FrameTiming* timing_;
   const phy::PacketErrorModel* error_model_;
-  TrueSnrProvider true_snr_;
   util::Rng rng_;
   DropCallback on_drop_;
 

@@ -4,13 +4,13 @@
 
 namespace caem::tone {
 
-ToneMonitor::ToneMonitor(CsiProvider csi, double sensing_delay_s, double csi_noise_db,
-                         util::Rng rng)
-    : csi_(std::move(csi)),
+ToneMonitor::ToneMonitor(channel::SnrSource* csi, double sensing_delay_s,
+                         double csi_noise_db, util::Rng rng)
+    : csi_(csi),
       sensing_delay_s_(sensing_delay_s),
       csi_noise_db_(csi_noise_db),
       rng_(rng) {
-  if (!csi_) throw std::invalid_argument("ToneMonitor: null CSI provider");
+  if (csi_ == nullptr) throw std::invalid_argument("ToneMonitor: null CSI oracle");
   if (sensing_delay_s < 0.0) throw std::invalid_argument("ToneMonitor: negative sensing delay");
   if (csi_noise_db < 0.0) throw std::invalid_argument("ToneMonitor: negative CSI noise");
 }
@@ -32,7 +32,7 @@ ToneState ToneMonitor::observed_state(double now_s) const {
 }
 
 double ToneMonitor::estimate_csi_db(double now_s) {
-  const double truth = csi_(now_s);
+  const double truth = csi_->snr_db(now_s);
   return csi_noise_db_ == 0.0 ? truth : truth + rng_.normal(0.0, csi_noise_db_);
 }
 

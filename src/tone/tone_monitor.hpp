@@ -6,10 +6,15 @@
 // paper assumption 2).  Both observations are imperfect: the state is
 // stale by the pulse-classification (sensing) delay, and the CSI estimate
 // carries lognormal measurement noise.
+//
+// The truth behind the estimate comes from a CSI oracle: the sensor's
+// round-scoped handle on its member->CH link (channel::RoundLink), read
+// directly with no per-check lookup.  The MAC reads the same oracle,
+// noise-free, for the frame-error draw, so the decision and the outcome
+// see one channel.
 #pragma once
 
-#include <functional>
-
+#include "channel/link.hpp"
 #include "tone/tone_broadcaster.hpp"
 #include "util/rng.hpp"
 
@@ -17,14 +22,14 @@ namespace caem::tone {
 
 class ToneMonitor {
  public:
-  /// CSI oracle: true link SNR (dB) at a time; wired to channel::Link.
-  using CsiProvider = std::function<double(double now_s)>;
-
+  /// @param csi              CSI oracle: the true SNR of the link to the
+  ///                         current CH (must outlive the monitor)
   /// @param sensing_delay_s  time to classify a pulse interval (Table II
   ///                         "sensing delay"): state changes younger than
   ///                         this are not yet visible to the sensor.
   /// @param csi_noise_db     std-dev of the CSI measurement error in dB.
-  ToneMonitor(CsiProvider csi, double sensing_delay_s, double csi_noise_db, util::Rng rng);
+  ToneMonitor(channel::SnrSource* csi, double sensing_delay_s, double csi_noise_db,
+              util::Rng rng);
 
   /// Attach to (or detach from) the current cluster head's broadcaster.
   void attach(const ToneBroadcaster* broadcaster) noexcept { broadcaster_ = broadcaster; }
@@ -40,10 +45,13 @@ class ToneMonitor {
   /// CSI estimate (dB) from the latest tone pulse measurement.
   [[nodiscard]] double estimate_csi_db(double now_s);
 
+  /// The oracle's noise-free SNR (dB): what a data frame actually sees.
+  [[nodiscard]] double true_snr_db(double now_s) { return csi_->snr_db(now_s); }
+
   [[nodiscard]] double sensing_delay_s() const noexcept { return sensing_delay_s_; }
 
  private:
-  CsiProvider csi_;
+  channel::SnrSource* csi_;
   double sensing_delay_s_;
   double csi_noise_db_;
   util::Rng rng_;

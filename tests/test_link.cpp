@@ -1,6 +1,11 @@
 // Tests for the composite Link and the LinkManager.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "channel/link.hpp"
 #include "channel/link_manager.hpp"
 #include "sim/rng_registry.hpp"
@@ -200,6 +205,129 @@ TEST(LinkDirect, DeepFadeStaysFinite) {
   for (int i = 0; i < 5000; ++i) {
     EXPECT_TRUE(std::isfinite(links.snr_db(a, b, i * 0.01, budget)));
   }
+}
+
+// ---- round-scoped handles (RoundLink) and fading release ----
+
+// Query schedule of one "round": tone-check-like times that revisit
+// coherence windows and span several of them.
+std::vector<double> round_queries(int round) {
+  std::vector<double> times;
+  for (int i = 0; i < 40; ++i) times.push_back(round * 2.0 + i * 0.037);
+  return times;
+}
+
+class RoundLinkRelease
+    : public ::testing::TestWithParam<std::tuple<FadingKind, bool /*snr cache*/>> {};
+
+// A link whose stateless fading model is released at every round end
+// and re-derived at the next resolution must answer exactly what a link
+// that was never released answers; block fading is never released.
+TEST_P(RoundLinkRelease, ReleasedLinksMatchNeverReleasedOnes) {
+  const auto [kind, cache] = GetParam();
+  ChannelConfig config;
+  config.fading_kind = kind;
+  config.snr_cache_enabled = cache;
+  const LinkBudget budget{0.0, -101.0};
+  sim::RngRegistry rng_released(2005);
+  sim::RngRegistry rng_resident(2005);
+  LinkManager released(config, &rng_released);
+  LinkManager resident(config, &rng_resident);
+  for (const Vec2 p : {Vec2{0, 0}, Vec2{25, 10}, Vec2{60, 40}}) {
+    released.add_static_node(p);
+    resident.add_static_node(p);
+  }
+  RoundLink handle(&released, 0, &budget);
+  const bool stateless = kind != FadingKind::kBlock;
+  for (int round = 0; round < 6; ++round) {
+    const NodeId peer = round % 3 == 2 ? 2 : 1;  // the CH changes now and then
+    handle.bind(peer);
+    for (const double t : round_queries(round)) {
+      ASSERT_EQ(handle.snr_db(t), resident.snr_db(0, peer, t, budget))
+          << "round " << round << " t " << t;
+    }
+    EXPECT_EQ(released.resident_fading_count(), stateless ? 1u : released.live_link_count());
+    handle.release();
+    EXPECT_EQ(released.resident_fading_count(), stateless ? 0u : released.live_link_count());
+    EXPECT_EQ(released.link(0, peer).has_fading(), true);  // link() re-derives
+    released.release_fading(released.link(0, peer));
+    EXPECT_EQ(handle.snr_db(round * 2.0 + 1.0), kOutOfRangeSnrDb);  // unbound after release
+  }
+  EXPECT_EQ(released.live_link_count(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, RoundLinkRelease,
+    ::testing::Combine(::testing::Values(FadingKind::kJakesRayleigh, FadingKind::kRician,
+                                         FadingKind::kBlock),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_cached" : "_exact");
+    });
+
+TEST(RoundLink, OutOfRangeStaticMemberMaterialisesNoLink) {
+  sim::RngRegistry rng(3);
+  ChannelConfig config;
+  config.radio_range_m = 40.0;
+  LinkManager links(config, &rng);
+  const NodeId member = links.add_static_node({0, 0});
+  const NodeId far_ch = links.add_static_node({70, 0});
+  const NodeId near_ch = links.add_static_node({30, 0});
+  const LinkBudget budget{0.0, -101.0};
+  RoundLink handle(&links, member, &budget);
+
+  EXPECT_EQ(handle.snr_db(0.0), kOutOfRangeSnrDb);  // never bound
+  handle.bind(far_ch);
+  for (double t = 0.0; t < 2.0; t += 0.1) EXPECT_EQ(handle.snr_db(t), kOutOfRangeSnrDb);
+  handle.release();
+  EXPECT_EQ(links.live_link_count(), 0u);
+
+  handle.bind(near_ch);
+  EXPECT_EQ(links.live_link_count(), 0u);  // resolved at the first query, not at bind
+  EXPECT_TRUE(std::isfinite(handle.snr_db(2.0)));
+  EXPECT_EQ(links.live_link_count(), 1u);
+}
+
+TEST(RoundLink, MobilePairKeepsThePerQueryRangeTest) {
+  // Waypoint endpoints move between queries: the handle must answer
+  // exactly what the per-query LinkManager path answers, range cut-offs
+  // included, and leave both mobility models in the same state.
+  ChannelConfig config;
+  config.radio_range_m = 30.0;
+  const LinkBudget budget{0.0, -101.0};
+  sim::RngRegistry rng_a(17);
+  sim::RngRegistry rng_b(17);
+  LinkManager via_handle(config, &rng_a);
+  LinkManager direct(config, &rng_b);
+  for (LinkManager* links : {&via_handle, &direct}) {
+    for (int i = 0; i < 2; ++i) {
+      links->add_node(std::make_unique<RandomWaypoint>(
+          Vec2{0, 0}, Vec2{60, 60}, 2.0, 5.0, 0.0,
+          util::Rng(99, "mobility/" + std::to_string(i))));
+    }
+  }
+  RoundLink handle(&via_handle, 0, &budget);
+  handle.bind(1);
+  int out_of_range = 0;
+  for (double t = 0.0; t < 60.0; t += 0.25) {
+    const double expected = direct.snr_db(0, 1, t, budget);
+    out_of_range += expected == kOutOfRangeSnrDb;
+    ASSERT_EQ(handle.snr_db(t), expected) << "t " << t;
+  }
+  EXPECT_GT(out_of_range, 0);  // the schedule crosses the cut-off
+}
+
+TEST(LinkFading, RebuiltFromItsStreamReproducesEverySample) {
+  // Release and re-derivation rely on this: a stateless model rebuilt
+  // from the same stream reproduces the original sample for sample.
+  JakesRayleighFading a(3.0, util::Rng(5, "fading/0-1"));
+  JakesRayleighFading b(3.0, util::Rng(5, "fading/0-1"));
+  for (double t = 0.0; t < 5.0; t += 0.013) {
+    EXPECT_EQ(a.power_gain(t), b.power_gain(t));
+  }
+  EXPECT_TRUE(a.stateless());
+  EXPECT_FALSE(BlockRayleighFading(0.14, util::Rng(5)).stateless());
 }
 
 }  // namespace

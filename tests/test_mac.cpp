@@ -39,23 +39,30 @@ energy::RadioPowerProfile tone_profile() {
   return p;
 }
 
+// The CSI-oracle seam: a constant true SNR in place of a link.
+struct ConstantSnr final : channel::SnrSource {
+  explicit ConstantSnr(double db) : db_(db) {}
+  double snr_db(double) override { return db_; }
+  double db_;
+};
+
 // One simulated sensor with all of its parts.
 struct TestSensor {
   TestSensor(sim::Simulator* sim, std::uint32_t id, const phy::AbicmTable* table,
              const phy::FrameTiming* timing, const phy::PacketErrorModel* error_model,
              double snr_db, queueing::ThresholdPolicy policy, double deadline_s = 0.0)
-      : battery(50.0),
+      : csi(snr_db),
+        battery(50.0),
         data_radio(energy::RadioId::kData, data_profile(), &battery, &ledger),
         tone_radio(energy::RadioId::kTone, tone_profile(), &battery, &ledger),
         queue(50),
         controller(policy, table, 5, 15),
-        monitor([snr_db](double) { return snr_db; }, 1e-3, 0.0, util::Rng(id * 7 + 1)) {
+        monitor(&csi, 1e-3, 0.0, util::Rng(id * 7 + 1)) {
     SensorMacConfig config;
     config.burst.hold_timeout_s = 0.5;
     config.csi_gate_deadline_s = deadline_s;
     mac = std::make_unique<SensorMac>(sim, id, config, &data_radio, &tone_radio, &queue,
                                       &controller, &monitor, table, timing, error_model,
-                                      [snr_db](double) { return snr_db; },
                                       util::Rng(id * 13 + 2));
     mac->set_drop_callback(
         [this](const queueing::Packet&, queueing::DropReason, double) { ++drops; });
@@ -72,6 +79,7 @@ struct TestSensor {
     }
   }
 
+  ConstantSnr csi;
   energy::Battery battery;
   energy::EnergyLedger ledger;
   energy::Radio data_radio;

@@ -2,6 +2,7 @@
 // Small networks and short horizons keep each test under a second.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/network.hpp"
@@ -218,6 +219,46 @@ TEST(Network, SchemeTwoStarvesFarNodesWithoutAdaptation) {
   const RunResult adaptive =
       SimulationRunner::run(config, protocol_from_string("scheme1"), 21, options);
   EXPECT_GT(fixed.mean_queue_stddev, adaptive.mean_queue_stddev);
+}
+
+// Round-scoped channel state: with a stateless fading model the fading
+// objects held in memory never outnumber the current round's members
+// (every round end releases them), and the links themselves are only
+// ever member->CH pairs that were queried.
+TEST(Network, ResidentFadingStaysWithinTheRoundsMembers) {
+  for (const char* fading : {"jakes", "rician"}) {
+    NetworkConfig config = small_config();
+    config.channel.fading_kind = channel::fading_kind_from_string(fading);
+    Network network(config, protocol_from_string("scheme1"), 9);
+    network.start();
+    std::size_t peak_resident = 0;
+    // Sample just after each boundary and twice inside each round.
+    for (double t = 0.01; t < 40.0; t += config.round_duration_s / 3.0) {
+      network.simulator().run_until(t);
+      const Network::ChannelResidency residency = network.channel_residency();
+      EXPECT_LE(residency.resident_fading, residency.round_members) << fading << " t " << t;
+      EXPECT_GT(residency.round_members, 0u) << fading << " t " << t;
+      peak_resident = std::max(peak_resident, residency.resident_fading);
+    }
+    const Network::ChannelResidency before_close = network.channel_residency();
+    EXPECT_GT(peak_resident, 0u) << fading;
+    EXPECT_GT(before_close.links, peak_resident) << fading;  // rounds used other pairs
+    network.finalize();
+    EXPECT_EQ(network.channel_residency().resident_fading, 0u) << fading;
+    EXPECT_EQ(network.channel_residency().round_members, 0u) << fading;
+  }
+}
+
+TEST(Network, BlockFadingStaysResident) {
+  NetworkConfig config = small_config();
+  config.channel.fading_kind = channel::FadingKind::kBlock;
+  Network network(config, protocol_from_string("scheme1"), 9);
+  network.start();
+  network.simulator().run_until(30.0);
+  network.finalize();
+  const Network::ChannelResidency residency = network.channel_residency();
+  EXPECT_GT(residency.links, 0u);
+  EXPECT_EQ(residency.resident_fading, residency.links);  // sequential draws: never released
 }
 
 }  // namespace

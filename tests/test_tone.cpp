@@ -1,6 +1,7 @@
 // Tests for the tone signaling subsystem (Table I).
 #include <gtest/gtest.h>
 #include <cmath>
+#include <functional>
 
 #include "energy/radio_energy_model.hpp"
 #include "sim/simulator.hpp"
@@ -10,6 +11,13 @@
 
 namespace caem::tone {
 namespace {
+
+// The CSI-oracle seam: an arbitrary true-SNR curve in place of a link.
+struct SnrCurve final : channel::SnrSource {
+  explicit SnrCurve(std::function<double(double)> curve) : curve_(std::move(curve)) {}
+  double snr_db(double time_s) override { return curve_(time_s); }
+  std::function<double(double)> curve_;
+};
 
 TEST(ToneSignal, TableOnePatterns) {
   const PulsePattern idle = pattern_for(ToneState::kIdle);
@@ -148,8 +156,8 @@ TEST_F(BroadcasterTest, SetStateBeforeStartIsIgnored) {
 // ---- monitor ----
 
 TEST_F(BroadcasterTest, MonitorSeesStateWithStaleness) {
-  ToneMonitor monitor([](double) { return 15.0; }, /*sensing_delay=*/1e-3,
-                      /*csi_noise=*/0.0, util::Rng(1));
+  SnrCurve csi([](double) { return 15.0; });
+  ToneMonitor monitor(&csi, /*sensing_delay=*/1e-3, /*csi_noise=*/0.0, util::Rng(1));
   EXPECT_FALSE(monitor.hears_tone());
   monitor.attach(&broadcaster_);
   EXPECT_FALSE(monitor.hears_tone());  // attached but not broadcasting
@@ -166,10 +174,13 @@ TEST_F(BroadcasterTest, MonitorSeesStateWithStaleness) {
 }
 
 TEST(ToneMonitor, CsiNoiseAndTruth) {
-  ToneMonitor exact([](double t) { return 10.0 + t; }, 1e-3, 0.0, util::Rng(1));
+  SnrCurve ramp([](double t) { return 10.0 + t; });
+  ToneMonitor exact(&ramp, 1e-3, 0.0, util::Rng(1));
   EXPECT_DOUBLE_EQ(exact.estimate_csi_db(5.0), 15.0);
+  EXPECT_DOUBLE_EQ(exact.true_snr_db(5.0), 15.0);
 
-  ToneMonitor noisy([](double) { return 10.0; }, 1e-3, 2.0, util::Rng(2));
+  SnrCurve flat([](double) { return 10.0; });
+  ToneMonitor noisy(&flat, 1e-3, 2.0, util::Rng(2));
   double sum = 0.0, sq = 0.0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
@@ -180,13 +191,14 @@ TEST(ToneMonitor, CsiNoiseAndTruth) {
   const double mean = sum / n;
   EXPECT_NEAR(mean, 10.0, 0.1);
   EXPECT_NEAR(std::sqrt(sq / n - mean * mean), 2.0, 0.1);
+  EXPECT_EQ(noisy.true_snr_db(0.0), 10.0);  // the oracle itself is noise-free
 }
 
 TEST(ToneMonitor, Validation) {
   EXPECT_THROW(ToneMonitor(nullptr, 1e-3, 0.0, util::Rng(1)), std::invalid_argument);
-  EXPECT_THROW(ToneMonitor([](double) { return 0.0; }, -1.0, 0.0, util::Rng(1)),
-               std::invalid_argument);
-  ToneMonitor detached([](double) { return 0.0; }, 1e-3, 0.0, util::Rng(1));
+  SnrCurve zero([](double) { return 0.0; });
+  EXPECT_THROW(ToneMonitor(&zero, -1.0, 0.0, util::Rng(1)), std::invalid_argument);
+  ToneMonitor detached(&zero, 1e-3, 0.0, util::Rng(1));
   EXPECT_THROW((void)detached.observed_state(0.0), std::logic_error);
 }
 
