@@ -31,7 +31,7 @@
 #include "core/simulation_runner.hpp"
 #include "leach/election.hpp"
 #include "phy/error_model.hpp"
-#include "sim/event_queue.hpp"
+#include "support/event_queue.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
 

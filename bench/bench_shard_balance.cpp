@@ -1,13 +1,13 @@
-// bench_shard_balance — static residue slices vs dynamic work-stealing
-// claims on a deliberately skewed sweep, the acceptance harness for
-// `caem run --worker` (scenario/work_queue.hpp).
+// bench_shard_balance — a static residue partition vs dynamic
+// work-stealing claims on a deliberately skewed sweep, the acceptance
+// harness for `caem run --worker` (scenario/work_queue.hpp).
 //
 // Workload: the skewed_fast scenario shape — ONE heavy cell (140 nodes)
 // plus 36 near-equal light cells (20 nodes, traffic swept in lockstep),
 // costing roughly light_total ≈ 3 x heavy.  That is the worst case for
-// the legacy static `--shard=i/N` partition: the residue class that
+// a static partition of N workers by job-index residue: the class that
 // draws the heavy cell also draws a quarter of the lights, so its owner
-// grinds on alone while the other shards idle.
+// grinds on alone while the other workers idle.
 //
 // Measurement is COST-WEIGHTED SCHEDULE MAKESPAN, not wall clock: on a
 // small or timeshared host (CI runs this on one core) N concurrent
@@ -16,10 +16,10 @@
 //
 //   1. every cell is executed once, uncontended and single-threaded,
 //      recording its measured cost (and the reference artifacts);
-//   2. static makespan  = max over the 4 residue classes of the summed
-//      measured cost of the cells `--shard=i/4` would assign them
-//      (exact: the static partition is a pure function of job index);
-//   3. dynamic makespan = max over 4 REAL `--worker` drains (threads in
+//   2. static makespan  = max over the 4 residue classes (job index
+//      mod 4) of their cells' summed measured cost (exact: the static
+//      partition is a pure function of job index);
+//   3. dynamic makespan = max over 4 REAL worker-mode drains (threads in
 //      this process, racing the real claim protocol on a fresh shared
 //      cache) of the summed measured cost of the cells each one
 //      actually claimed and executed — read back from the worker
@@ -53,7 +53,7 @@
 #include "core/simulation_runner.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/shard_manifest.hpp"
+#include "scenario/sweep_manifest.hpp"
 #include "scenario/sweep.hpp"
 #include "util/config.hpp"
 
@@ -157,14 +157,14 @@ int main(int argc, char** argv) {
   std::printf("reference pass: heavy %.0f ms, lights %.0f ms total (%.0f ms whole sweep)\n",
               cost_ms[0], total_ms - cost_ms[0], total_ms);
 
-  // -- 2. static makespan: exact cost of the legacy --shard=i/N
-  //       partition (job index residue classes) --
+  // -- 2. static makespan: exact cost of the residue partition
+  //       (job index mod workers) --
   std::vector<double> static_class_ms(workers, 0.0);
   for (std::size_t i = 0; i < jobs; ++i) static_class_ms[i % workers] += cost_ms[i];
   const double static_makespan_ms =
       *std::max_element(static_class_ms.begin(), static_class_ms.end());
 
-  // -- 3. dynamic makespan: real --worker drains racing the claim
+  // -- 3. dynamic makespan: real worker-mode drains racing the claim
   //       protocol on a fresh shared cache --
   const fs::path scratch =
       fs::temp_directory_path() / ("bench_shard_cache_" + std::to_string(::getpid()));
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
 
   // Read the telemetry markers back: which cells each worker actually
   // claimed and executed.
-  const scenario::ShardManifest manifest(scratch.string(), worker_results[0].sweep_digest);
+  const scenario::SweepManifest manifest(scratch.string(), worker_results[0].sweep_digest);
   const std::vector<scenario::WorkerMarker> reports = manifest.collect_workers();
   std::vector<double> dynamic_worker_ms;
   std::size_t dynamic_executed = 0;

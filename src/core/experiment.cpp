@@ -1,74 +1,62 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 
 namespace caem::core {
+
+std::size_t drain_threads(std::size_t threads, std::size_t cells) noexcept {
+  if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::min(threads, cells);
+}
+
+void drain_parallel(std::size_t drainers, const std::function<std::optional<std::size_t>()>& next,
+                    const std::function<void(std::size_t)>& cell) {
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto loop = [&] {
+    try {
+      while (!failed.load()) {
+        const std::optional<std::size_t> job = next();
+        if (!job) return;
+        cell(*job);
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+      failed.store(true);
+    }
+  };
+  if (drainers <= 1) {
+    loop();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(drainers);
+    for (std::size_t t = 0; t < drainers; ++t) pool.emplace_back(loop);
+    for (std::thread& thread : pool) thread.join();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
 
 std::vector<RunResult> parallel_runs(std::size_t count,
                                      const std::function<RunResult(std::size_t)>& job,
                                      std::size_t threads) {
   if (!job) throw std::invalid_argument("parallel_runs: null job");
   std::vector<RunResult> results(count);
-  if (count == 0) return results;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, count);
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  const auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
-      try {
-        results[i] = job(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
-}
-
-std::vector<RunResult> parallel_runs_ordered(std::size_t result_size,
-                                             const std::vector<std::size_t>& order,
-                                             const std::function<RunResult(std::size_t)>& job,
-                                             std::size_t threads) {
-  std::vector<char> seen(result_size, 0);
-  for (const std::size_t id : order) {
-    if (id >= result_size) {
-      throw std::invalid_argument("parallel_runs_ordered: job id " + std::to_string(id) +
-                                  " out of range (result_size " + std::to_string(result_size) +
-                                  ")");
-    }
-    if (seen[id]) {
-      throw std::invalid_argument("parallel_runs_ordered: duplicate job id " +
-                                  std::to_string(id));
-    }
-    seen[id] = 1;
-  }
-  std::vector<RunResult> results(result_size);
-  if (order.empty()) return results;
-  // parallel_runs' atomic ticket counter hands out k in submission
-  // order, so job order[k] starts no later than order[k+1] — exactly
-  // the drain-order contract.  Scatter back by original id.
-  std::vector<RunResult> drained =
-      parallel_runs(order.size(), [&](std::size_t k) { return job(order[k]); }, threads);
-  for (std::size_t k = 0; k < order.size(); ++k) results[order[k]] = std::move(drained[k]);
+  std::atomic<std::size_t> ticket{0};
+  drain_parallel(
+      drain_threads(threads, count),
+      [&]() -> std::optional<std::size_t> {
+        const std::size_t i = ticket.fetch_add(1);
+        if (i >= count) return std::nullopt;
+        return i;
+      },
+      [&](std::size_t i) { results[i] = job(i); });
   return results;
 }
 
@@ -99,17 +87,6 @@ Replicated fold_runs(std::vector<RunResult> runs) {
     summary.total_consumed_j.add(run.total_consumed_j);
   }
   return summary;
-}
-
-Replicated run_replicated(const NetworkConfig& config, Protocol protocol,
-                          std::uint64_t base_seed, std::size_t replications,
-                          const RunOptions& options, std::size_t threads) {
-  return fold_runs(parallel_runs(
-      replications,
-      [&](std::size_t i) {
-        return SimulationRunner::run(config, protocol, base_seed + i, options);
-      },
-      threads));
 }
 
 }  // namespace caem::core

@@ -3,12 +3,13 @@
 // The benchmark harness sweeps (protocol x load x seed) grids; every
 // point is an independent Network, so we parallelise with a plain thread
 // pool over the job list (explicit parallelism, no shared mutable state —
-// the HPC-guide idiom).  Replication averaging helpers live here too.
+// the HPC-guide idiom).  Replication folding lives here too; the
+// scenario engine (scenario/engine.hpp) is what runs sweeps.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <thread>
+#include <optional>
 #include <vector>
 
 #include "core/simulation_runner.hpp"
@@ -16,27 +17,24 @@
 
 namespace caem::core {
 
-/// Run `job(i)` for i in [0, count) on up to `threads` workers and return
-/// the results in index order.  Exceptions in jobs propagate to the
-/// caller (first one wins).
+/// Drainer count for `cells` cells on `threads` threads (0 = hardware
+/// concurrency): never more drainers than cells.
+[[nodiscard]] std::size_t drain_threads(std::size_t threads, std::size_t cells) noexcept;
+
+/// The one parallel drain loop: `drainers` threads (the caller's own
+/// thread when there is at most one) each run `cell` on whatever `next`
+/// hands out until it returns nullopt.  `next` must be thread-safe when
+/// drainers > 1.  The first exception — from `next` or `cell` — stops
+/// every drainer at its next draw and is rethrown once all have joined.
+void drain_parallel(std::size_t drainers, const std::function<std::optional<std::size_t>()>& next,
+                    const std::function<void(std::size_t)>& cell);
+
+/// Run `job(i)` for i in [0, count) on up to `threads` workers (0 =
+/// hardware concurrency) and return the results in index order.  The
+/// first exception stops the remaining jobs and propagates.
 std::vector<RunResult> parallel_runs(std::size_t count,
                                      const std::function<RunResult(std::size_t)>& job,
                                      std::size_t threads = 0);
-
-/// Run `job(order[k])` for every k on up to `threads` workers, DRAINING
-/// the queue in the order given, and return results indexed by original
-/// job id (`result[order[k]] = job(order[k])`; slots not named in
-/// `order` stay default-constructed).  The drain order is pure
-/// scheduling — each job's result depends only on its own id — so
-/// callers reorder freely for load balance (the scenario engine feeds a
-/// longest-expected-first order so the final worker is never stuck
-/// behind a long-running job queued last) without touching results.
-/// `order` entries must be unique and < result_size; throws
-/// std::invalid_argument otherwise.
-std::vector<RunResult> parallel_runs_ordered(std::size_t result_size,
-                                             const std::vector<std::size_t>& order,
-                                             const std::function<RunResult(std::size_t)>& job,
-                                             std::size_t threads = 0);
 
 /// Scalar summary over replications.
 struct Replicated {
@@ -61,12 +59,5 @@ struct Replicated {
 /// how many contributed).  Lifetimes of -1 (never crossed inside the
 /// horizon) fold as the horizon, a conservative lower bound.
 Replicated fold_runs(std::vector<RunResult> runs);
-
-/// Run `replications` seeds of one (config, protocol) point in parallel
-/// and fold the headline scalars via `fold_runs`.  Seeds are base_seed,
-/// base_seed+1, ...
-Replicated run_replicated(const NetworkConfig& config, Protocol protocol,
-                          std::uint64_t base_seed, std::size_t replications,
-                          const RunOptions& options, std::size_t threads = 0);
 
 }  // namespace caem::core

@@ -6,20 +6,22 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <mutex>
-#include <numeric>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include <unistd.h>
 
 #include "scenario/cost_model.hpp"
 #include "scenario/result_cache.hpp"
-#include "sim/kernel_stats.hpp"
-#include "scenario/shard_manifest.hpp"
+#include "scenario/sweep_manifest.hpp"
 #include "scenario/work_queue.hpp"
+#include "sim/kernel_stats.hpp"
 #include "util/table_writer.hpp"
 #include "util/time_series.hpp"
 
@@ -149,6 +151,132 @@ class LeaseRefresher {
   std::thread thread_;
 };
 
+/// Worker-mode cell source: each cell is won by whichever process claims it
+/// first in the store's ClaimBoard (work_queue.hpp), so a fast worker
+/// simply claims more cells.  Passes repeat over the cells not yet
+/// stored until the STORE says the sweep is complete — claims gate
+/// execution, never completion — so a worker also outlives its peers'
+/// crashes: their stale claims expire and are stolen here.  One drainer
+/// per process.
+class ClaimSource {
+ public:
+  ClaimSource(ClaimBoard& board, std::vector<std::size_t> queue, double lease_s,
+              std::function<bool()> cancelled, std::function<bool(std::size_t)> stored,
+              std::function<void(std::size_t)> on_hit, std::atomic<std::size_t>& stolen)
+      : board_(board),
+        queue_(std::move(queue)),
+        lease_s_(lease_s),
+        // Poll cadence while every remaining cell is held by a healthy
+        // peer: fast enough to pick freed cells up promptly, and well
+        // under the lease so a stale claim is stolen soon after expiry.
+        poll_(std::min(0.5, lease_s / 4.0)),
+        cancelled_(std::move(cancelled)),
+        stored_(std::move(stored)),
+        on_hit_(std::move(on_hit)),
+        stolen_(stolen) {}
+
+  /// The next cell this worker claimed, or nullopt once the store holds
+  /// every cell (or cancellation stopped the drain).
+  std::optional<std::size_t> next() {
+    for (;;) {
+      if (at_ == queue_.size()) {
+        stolen_.store(board_.stolen());
+        if (blocked_.empty()) return std::nullopt;
+        if (!progressed_) std::this_thread::sleep_for(poll_);
+        queue_ = std::exchange(blocked_, {});
+        at_ = 0;
+        progressed_ = false;
+      }
+      const std::size_t job = queue_[at_++];
+      // Cooperative stop between cells (never mid-cell: a started cell
+      // completes and stores, and its claim is released).
+      if (cancelled_()) {
+        stopped_ = true;
+        return std::nullopt;
+      }
+      if (stored_(job)) {  // a peer finished it since our last look
+        on_hit_(job);
+        progressed_ = true;
+        continue;
+      }
+      if (board_.try_claim(job) == ClaimBoard::Claim::kBusy) {
+        blocked_.push_back(job);
+        continue;
+      }
+      // Won.  Re-check under the claim: the previous holder may have
+      // stored and released between our look and our acquire.
+      if (stored_(job)) {
+        board_.release(job);
+        on_hit_(job);
+        progressed_ = true;
+        continue;
+      }
+      progressed_ = true;
+      return job;
+    }
+  }
+
+  /// Run `cell` on a claimed job, then release the claim.
+  void execute(std::size_t job, const std::function<void(std::size_t)>& cell) {
+    try {
+      // Heartbeat while computing; joined before the release so a late
+      // refresh can never resurrect a released claim.
+      const LeaseRefresher heartbeat(board_, job, lease_s_);
+      cell(job);
+    } catch (...) {
+      // Never exit holding a claim: peers would wait a full lease to
+      // steal a cell this worker isn't computing.
+      board_.release(job);
+      throw;
+    }
+    board_.release(job);
+    executed_.push_back(job);
+  }
+
+  [[nodiscard]] bool stopped() const noexcept { return stopped_; }
+  /// Cells this worker claimed, executed and stored, ascending.
+  [[nodiscard]] std::vector<std::size_t> executed() const {
+    std::vector<std::size_t> sorted = executed_;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  }
+
+ private:
+  ClaimBoard& board_;
+  std::vector<std::size_t> queue_;
+  std::vector<std::size_t> blocked_;
+  std::size_t at_ = 0;
+  bool progressed_ = false;
+  bool stopped_ = false;
+  double lease_s_;
+  std::chrono::duration<double> poll_;
+  std::function<bool()> cancelled_;
+  std::function<bool(std::size_t)> stored_;
+  std::function<void(std::size_t)> on_hit_;
+  std::atomic<std::size_t>& stolen_;
+  std::vector<std::size_t> executed_;
+};
+
+/// Every grid point's materialised config, in expansion order.
+std::vector<core::NetworkConfig> point_configs(const ScenarioSpec& spec,
+                                               const std::vector<GridPoint>& grid) {
+  std::vector<core::NetworkConfig> configs;
+  configs.reserve(grid.size());
+  for (const GridPoint& point : grid) configs.push_back(spec.config_at(point));
+  return configs;
+}
+
+std::vector<std::string> keys_of(const ScenarioSpec& spec,
+                                 const std::vector<core::NetworkConfig>& configs) {
+  std::vector<std::string> keys(configs.size() * spec.protocols.size() * spec.replications);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const JobCoords c = job_coords(spec, i);
+    keys[i] = ResultCache::entry_key(configs[c.point], spec.protocols[c.protocol],
+                                     spec.base_seed + c.rep, spec.options);
+  }
+  return keys;
+}
+
 }  // namespace
 
 JobCoords job_coords(const ScenarioSpec& spec, std::size_t index) {
@@ -158,9 +286,17 @@ JobCoords job_coords(const ScenarioSpec& spec, std::size_t index) {
                    index % reps};
 }
 
+std::vector<std::string> job_keys(const ScenarioSpec& spec) {
+  return keys_of(spec, point_configs(spec, expand_grid(spec.axes)));
+}
+
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   const auto started = std::chrono::steady_clock::now();
+  const auto seconds_since_start = [&started] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  };
 
+  // -- expand: the grid and every point's config --
   ScenarioResult result;
   result.scenario_name = spec.name;
   for (const Axis& axis : spec.axes) {
@@ -168,425 +304,189 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       result.axis_keys.push_back(std::move(key));
     }
   }
-
   const std::vector<GridPoint> grid = expand_grid(spec.axes);
   const std::size_t protocol_count = spec.protocols.size();
   const std::size_t reps = spec.replications;
-
-  // Snapshot every point's NetworkConfig before fanning out: workers
-  // receive value copies and never touch a shared util::Config.
-  std::vector<core::NetworkConfig> configs;
-  configs.reserve(grid.size());
-  for (const GridPoint& point : grid) configs.push_back(spec.config_at(point));
+  // Snapshot every point's NetworkConfig up front: drainers read value
+  // copies and never touch a shared util::Config.
+  const std::vector<core::NetworkConfig> configs = point_configs(spec, grid);
 
   result.total_jobs = grid.size() * protocol_count * reps;
   result.cache_enabled = !spec.cache_dir.empty() && spec.use_cache;
-  result.shard_index = spec.shard_index;
-  result.shard_count = spec.shard_count;
-  result.merged = spec.merge_shards;
-  if (result.cache_enabled && !spec.flatten) {
-    throw std::invalid_argument(
-        "scenario.flatten=0 is incompatible with the result cache (cache lookups partition the "
-        "flattened queue; drop scenario.cache_dir or re-enable flattening)");
-  }
-  const bool sharded = spec.shard_count >= 1;
   result.worker_mode = spec.worker_mode;
-  if (sharded || spec.merge_shards || spec.worker_mode) {
-    if (sharded && spec.merge_shards) {
-      throw std::invalid_argument(
-          "a shard run cannot also merge: --shard and merge/--require-complete are mutually "
-          "exclusive");
-    }
-    if (spec.worker_mode && sharded) {
-      throw std::invalid_argument(
-          "--worker and --shard are mutually exclusive: a worker drains the one shared queue, "
-          "a shard a static residue slice");
-    }
-    if (spec.worker_mode && spec.merge_shards) {
-      throw std::invalid_argument(
-          "a worker cannot also merge: run `caem merge` once every worker has exited");
-    }
-    if (!result.cache_enabled) {
-      throw std::invalid_argument(
-          "distributed execution requires the result cache — the shared cache directory is the "
-          "coordination substrate workers and shards merge through (set "
-          "--cache-dir/scenario.cache_dir and drop --no-cache)");
-    }
+  result.merged = spec.merge_shards;
+  if (spec.worker_mode && spec.merge_shards) {
+    throw std::invalid_argument(
+        "a worker cannot also merge: run `caem merge` once every worker has exited");
   }
-  if (sharded && (spec.shard_index < 1 || spec.shard_index > spec.shard_count)) {
-    throw std::invalid_argument("shard index out of range: --shard=i/N needs 1 <= i <= N");
+  if ((spec.worker_mode || spec.merge_shards) && !result.cache_enabled) {
+    throw std::invalid_argument(
+        "worker and merge runs require the result cache — the shared cache directory is the "
+        "coordination substrate workers and the merge meet through (set "
+        "--cache-dir/scenario.cache_dir and drop --no-cache)");
   }
   if (spec.worker_mode && !(spec.lease_s > 0.0)) {
     throw std::invalid_argument("--lease must be a positive number of seconds");
   }
 
-  // Job order is (point, protocol, rep) row-major so fold-back is an
-  // index computation, and each job's seed depends only on its rep
-  // index — results are independent of thread scheduling.
-  const auto run_job = [&](std::size_t i) {
-    const JobCoords c = job_coords(spec, i);
-    return core::SimulationRunner::run(configs[c.point], spec.protocols[c.protocol],
-                                       spec.base_seed + c.rep, spec.options);
-  };
-
   // Live drain counters for --progress, the worker report, and any
   // embedding host (caem serve) watching through spec.progress_sink.
-  // Scan hits are added before the drain starts; executions tick as
-  // they finish on whatever thread ran them.
   ProgressSink local_sink;
   ProgressSink& sink = spec.progress_sink != nullptr ? *spec.progress_sink : local_sink;
   sink.total.store(result.total_jobs);
-  std::atomic<std::size_t>& hit_count = sink.hits;
-  std::atomic<std::size_t>& executed_count = sink.executed;
   const auto cancel_requested = [&spec] {
     return spec.cancel != nullptr && spec.cancel->load();
   };
-  std::ostream& progress_out =
-      spec.progress_stream != nullptr ? *spec.progress_stream : std::cerr;
 
-  // LPT drain order: longest-expected cells first, so the queue never
-  // saves a run-to-extinction cell for last (scenario/cost_model.hpp).
+  // LPT drain order: longest-expected cells first, so the drain never
+  // saves a run-to-extinction cell for last (scenario/cost_model.hpp),
+  // refined by the measured wall_ms of the hits resolve observes.
   // Purely a scheduling hint — every result binds to its job index.
   CostModel model;
-  const auto observe_entry = [&](std::size_t i, const core::RunResult& entry) {
+  const auto family = [&](std::size_t i) {
     const JobCoords c = job_coords(spec, i);
-    model.observe(core::to_string(spec.protocols[c.protocol]), configs[c.point].node_count,
-                  spec.options.max_sim_s, entry.wall_ms);
-  };
-  const auto job_cost = [&](std::size_t i) {
-    const JobCoords c = job_coords(spec, i);
-    return model.estimate_ms(core::to_string(spec.protocols[c.protocol]),
-                             configs[c.point].node_count, spec.options.max_sim_s);
+    return std::pair{std::string(core::to_string(spec.protocols[c.protocol])),
+                     configs[c.point].node_count};
   };
 
-  std::vector<core::RunResult> runs;
+  // -- resolve: cache keys, then hits loaded and misses listed --
+  // A worker keeps no results (the merge folds); every other run keeps
+  // one slot per job for the fold.
+  std::vector<core::RunResult> runs(spec.worker_mode ? 0 : result.total_jobs);
+  std::vector<std::size_t> misses;
+  std::optional<ResultCache> cache;
+  std::vector<std::string> paths;
   if (result.cache_enabled) {
-    // Cache-partitioned flattened queue: hits fill their slot without
-    // ever being enqueued; only the misses run, then get stored.
-    const ResultCache cache(spec.cache_dir);
-    std::vector<std::string> keys(result.total_jobs);
-    std::vector<std::string> paths(result.total_jobs);
-    for (std::size_t i = 0; i < result.total_jobs; ++i) {
-      const JobCoords c = job_coords(spec, i);
-      keys[i] = cache.entry_key(configs[c.point], spec.protocols[c.protocol],
-                                spec.base_seed + c.rep, spec.options);
-      paths[i] = (std::filesystem::path(spec.cache_dir) / keys[i]).string();
+    cache.emplace(spec.cache_dir);
+    const std::vector<std::string> keys = keys_of(spec, configs);
+    paths.reserve(keys.size());
+    for (const std::string& key : keys) {
+      paths.push_back((std::filesystem::path(spec.cache_dir) / key).string());
     }
     result.sweep_digest = sweep_digest(keys);
-    const ShardManifest manifest(spec.cache_dir, result.sweep_digest);
-    std::vector<std::size_t> pending;
+  }
+  // Utility bookkeeping for the store janitor: every observed hit bumps
+  // the entry's touch sidecar when the host asked for it.
+  const auto count_hit = [&](std::size_t i) {
+    if (spec.record_touches) cache->touch(paths[i]);
+    ++result.cache_hits;
+    sink.hits.fetch_add(1);
+  };
+  for (std::size_t i = 0; i < result.total_jobs; ++i) {
+    std::optional<core::RunResult> hit;
+    if (cache) hit = cache->load(paths[i]);
+    if (!hit) {
+      misses.push_back(i);
+      continue;
+    }
+    const auto [protocol, node_count] = family(i);
+    model.observe(protocol, node_count, spec.options.max_sim_s, hit->wall_ms);
+    count_hit(i);
+    if (!spec.worker_mode) runs[i] = std::move(*hit);
+  }
+  if (spec.merge_shards) {
+    // Worker telemetry census: which worker drained what, at what cost
+    // — load imbalance and crash recovery made visible.
+    result.workers = SweepManifest(spec.cache_dir, result.sweep_digest).collect_workers();
+  }
 
-    // Execution provenance is stamped here — by the engine, only on
-    // runs headed for the cache — so the simulator itself stays a pure
-    // function of (config, protocol, seed) and two fresh computations
-    // remain bit-identical (a tested contract).
-    const auto timed_run = [&](std::size_t i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      core::RunResult run = run_job(i);
+  // -- drain: one cost-ordered loop over the misses --
+  const std::vector<std::size_t> order = cost_order(misses, [&](std::size_t i) {
+    const auto [protocol, node_count] = family(i);
+    return model.estimate_ms(protocol, node_count, spec.options.max_sim_s);
+  });
+  std::atomic<std::size_t> executed{0};
+  const auto run_cell = [&](std::size_t job) {
+    const JobCoords c = job_coords(spec, job);
+    const auto t0 = std::chrono::steady_clock::now();
+    core::RunResult run = core::SimulationRunner::run(
+        configs[c.point], spec.protocols[c.protocol], spec.base_seed + c.rep, spec.options);
+    if (cache) {
+      // Execution provenance is stamped here — by the engine, only on
+      // runs headed for the store — so the simulator itself stays a
+      // pure function of (config, protocol, seed) and two fresh
+      // computations remain bit-identical (a tested contract).  Each
+      // cell is stored the moment it finishes: a cancelled or failing
+      // drain never loses a finished cell.
       run.wall_ms =
           std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
               .count();
       run.exec_host = exec_hostname();
       run.exec_pid = static_cast<std::uint64_t>(::getpid());
-      executed_count.fetch_add(1);
-      return run;
-    };
-
-    // Utility bookkeeping for the store janitor: every observed hit
-    // bumps the entry's touch sidecar when the host asked for it.
-    const auto note_hit = [&](const std::string& path) {
-      if (spec.record_touches) cache.touch(path);
-    };
-
-    // Shared by the shard and unsharded/merge paths so store/retry
-    // semantics can never diverge between them; `fold_into` is null on
-    // a shard run, which stores cells but never folds them.  `pending`
-    // stays in ascending scan order (markers record it); only the
-    // DRAIN is cost-ordered.  Cancellation throws from the queue:
-    // parallel_runs joins every thread, propagates the first exception,
-    // and nothing partial is ever stored or folded.
-    const auto execute_and_store = [&](std::vector<core::RunResult>* fold_into) {
-      const std::vector<std::size_t> order = cost_order(pending, job_cost);
-      std::vector<core::RunResult> executed = core::parallel_runs(
-          order.size(),
-          [&](std::size_t k) {
-            if (cancel_requested()) throw SweepCancelled();
-            return timed_run(order[k]);
-          },
-          spec.threads);
-      for (std::size_t k = 0; k < order.size(); ++k) {
-        cache.store(paths[order[k]], executed[k]);
-        if (fold_into != nullptr) (*fold_into)[order[k]] = std::move(executed[k]);
-      }
-    };
-
-    if (spec.worker_mode) {
-      // -- the dynamic work-stealing drain (tentpole path) --
-      //
-      // One shared queue, any number of workers: each cell is won by
-      // whichever worker claims it first (work_queue.hpp), so a fast
-      // worker simply claims more cells and the sweep's makespan stops
-      // being hostage to the unluckiest static slice.  The loop below
-      // repeats passes over the not-yet-cached cells until the CACHE
-      // says the sweep is complete — claims gate execution, never
-      // completion — so this worker also outlives its peers' crashes:
-      // their stale claims expire and are stolen here.
-      ClaimBoard board(spec.cache_dir, result.sweep_digest, spec.lease_s);
-      {
-        std::error_code error;
-        std::filesystem::create_directories(board.dir(), error);
-        if (error) {
-          throw std::runtime_error("cannot create claim dir '" + board.dir() +
-                                   "': " + error.message());
-        }
-      }
-      result.worker_token = board.token();
-
-      std::vector<std::size_t> todo;
-      for (std::size_t i = 0; i < result.total_jobs; ++i) {
-        if (std::optional<core::RunResult> hit = cache.load(paths[i])) {
-          observe_entry(i, *hit);
-          note_hit(paths[i]);
-          ++result.cache_hits;
-        } else {
-          todo.push_back(i);
-        }
-      }
-      hit_count.store(result.cache_hits);
-      ProgressReporter reporter(spec.progress_s, progress_out, result.total_jobs, hit_count,
-                                executed_count);
-
-      std::vector<std::size_t> stored;
-      std::vector<std::size_t> queue = cost_order(todo, job_cost);
-      // Poll cadence while every remaining cell is held by a healthy
-      // peer: fast enough to pick freed cells up promptly, and well
-      // under the lease so a stale claim is stolen soon after expiry.
-      const auto poll = std::chrono::duration<double>(std::min(0.5, spec.lease_s / 4.0));
-      bool stopped = false;
-      while (!queue.empty() && !stopped) {
-        bool progressed = false;
-        std::vector<std::size_t> blocked;
-        for (const std::size_t job : queue) {
-          // Cooperative stop between cells (never mid-cell: a started
-          // cell completes and stores — cancellation never wastes work
-          // already done, and a held claim is released below).
-          if (cancel_requested()) {
-            stopped = true;
-            break;
-          }
-          if (cache.load(paths[job]).has_value()) {
-            // A peer finished it since our last look: a hit, not ours.
-            note_hit(paths[job]);
-            ++result.cache_hits;
-            hit_count.fetch_add(1);
-            progressed = true;
-            continue;
-          }
-          if (board.try_claim(job) == ClaimBoard::Claim::kBusy) {
-            blocked.push_back(job);
-            continue;
-          }
-          // Won.  Re-check under the claim: the previous holder may
-          // have stored and released between our load and our acquire.
-          if (cache.load(paths[job]).has_value()) {
-            board.release(job);
-            note_hit(paths[job]);
-            ++result.cache_hits;
-            hit_count.fetch_add(1);
-            progressed = true;
-            continue;
-          }
-          try {
-            // Heartbeat while computing; joined before the release so a
-            // late refresh can never resurrect a released claim.
-            const LeaseRefresher heartbeat(board, job, spec.lease_s);
-            cache.store(paths[job], timed_run(job));
-          } catch (...) {
-            // Never exit holding a claim: peers would wait a full lease
-            // to steal a cell this worker isn't computing.
-            board.release(job);
-            throw;
-          }
-          board.release(job);
-          stored.push_back(job);
-          progressed = true;
-        }
-        queue = std::move(blocked);
-        sink.stolen.store(board.stolen());
-        if (!queue.empty() && !stopped && !progressed) std::this_thread::sleep_for(poll);
-      }
-      reporter.stop();
-      result.cancelled = stopped;
-
-      result.executed_jobs = stored.size();
-      result.cache_misses = stored.size();
-      result.claims_stolen = board.stolen();
-      result.wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-
-      WorkerMarker report;
-      report.token = board.token();
-      report.host = board.host();
-      report.pid = static_cast<std::uint64_t>(::getpid());
-      report.total_jobs = result.total_jobs;
-      report.cache_hits = result.cache_hits;
-      report.stolen = board.stolen();
-      report.wall_ms = result.wall_s * 1000.0;
-      std::sort(stored.begin(), stored.end());
-      report.stored = std::move(stored);
-      manifest.write_worker_done(report);
-      result.marker_path = manifest.worker_marker_path(board.token());
-      // No fold: `caem merge` folds the full sweep from pure cache hits
-      // once the last worker exits.
-      return result;
+      cache->store(paths[job], run);
     }
+    executed.fetch_add(1);
+    sink.executed.fetch_add(1);
+    if (!spec.worker_mode) runs[job] = std::move(run);
+  };
 
-    if (sharded) {
-      // One worker of a distributed launch.  Scan only this shard's
-      // slice: claims are keyed by job-index residue (i ≡ shard-1 mod
-      // N), so the partition is identical however the N processes
-      // interleave — another shard's stores land in other residue
-      // classes and can never shift this slice (shard_manifest.hpp).
-      for (std::size_t i = spec.shard_index - 1; i < result.total_jobs;
-           i += spec.shard_count) {
-        ++result.shard_jobs;
-        if (std::optional<core::RunResult> hit = cache.load(paths[i])) {
-          observe_entry(i, *hit);
-          note_hit(paths[i]);
-          ++result.cache_hits;
-        } else {
-          pending.push_back(i);
-        }
-      }
-      hit_count.store(result.cache_hits);
-      ProgressReporter reporter(spec.progress_s, progress_out, result.shard_jobs, hit_count,
-                                executed_count);
-      execute_and_store(nullptr);
-      reporter.stop();
-      // Publish the completion marker only now: every claimed cell is
-      // durably stored first, so a marker can never lie about coverage.
-      ShardMarker marker;
-      marker.shard = spec.shard_index;
-      marker.of = spec.shard_count;
-      marker.total_jobs = result.total_jobs;
-      marker.cache_hits = result.cache_hits;
-      marker.stored = pending;
-      manifest.write_done(marker);
-      result.marker_path = manifest.marker_path(spec.shard_index, spec.shard_count);
-      result.executed_jobs = pending.size();
-      result.cache_misses = pending.size();
-      // No fold: this process holds a partial result set.  `caem merge`
-      // folds the full sweep from pure cache hits.
-      result.wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-      return result;
+  // The drain takes its next cell from an in-process ticket over the
+  // cost-ordered misses on spec.threads threads, or — in worker mode —
+  // from the store's ClaimBoard, one drainer per process.
+  std::optional<ClaimBoard> board;
+  std::optional<ClaimSource> claims;
+  std::atomic<std::size_t> ticket{0};
+  std::function<std::optional<std::size_t>()> next;
+  std::function<void(std::size_t)> cell = run_cell;
+  std::size_t drainers = 1;
+  if (spec.worker_mode) {
+    board.emplace(spec.cache_dir, result.sweep_digest, spec.lease_s);
+    std::error_code error;
+    std::filesystem::create_directories(board->dir(), error);
+    if (error) {
+      throw std::runtime_error("cannot create claim dir '" + board->dir() +
+                               "': " + error.message());
     }
-
-    runs.resize(result.total_jobs);
-    for (std::size_t i = 0; i < result.total_jobs; ++i) {
-      if (std::optional<core::RunResult> hit = cache.load(paths[i])) {
-        observe_entry(i, *hit);
-        note_hit(paths[i]);
-        runs[i] = std::move(*hit);
-        ++result.cache_hits;
-      } else {
-        pending.push_back(i);
-      }
-    }
-    if (spec.merge_shards) {
-      // Census the completion markers: shards without a `.done` marker
-      // crashed (or never ran).  The cells they left unfinished are
-      // exactly the remaining cache misses, which this process now
-      // claims and executes below.  When markers for several shard
-      // counts coexist (an aborted launch re-started with a different
-      // N), trust the N with the most markers — the majority launch —
-      // breaking ties toward the larger N; the stale markers only ever
-      // affect this report, never the fold (misses are ground truth).
-      const std::vector<ShardMarker> markers = manifest.collect();
-      std::size_t best_count = 0;
-      for (const ShardMarker& marker : markers) {
-        std::size_t count = 0;
-        for (const ShardMarker& other : markers) count += other.of == marker.of;
-        if (count > best_count ||
-            (count == best_count && marker.of > result.shards_expected)) {
-          best_count = count;
-          result.shards_expected = marker.of;
-        }
-      }
-      for (std::size_t id = 1; id <= result.shards_expected; ++id) {
-        const bool done =
-            std::any_of(markers.begin(), markers.end(), [&](const ShardMarker& m) {
-              return m.of == result.shards_expected && m.shard == id;
-            });
-        if (done) {
-          ++result.shards_done;
-        } else {
-          result.shards_missing.push_back(id);
-        }
-      }
-      // Worker telemetry census: which worker drained what, at what
-      // cost — load imbalance and crash recovery made visible.
-      result.workers = manifest.collect_workers();
-    }
-    hit_count.store(result.cache_hits);
-    {
-      ProgressReporter reporter(spec.progress_s, progress_out, result.total_jobs, hit_count,
-                                executed_count);
-      execute_and_store(&runs);
-    }
-    result.executed_jobs = pending.size();
-    if (spec.merge_shards) {
-      // Claim the crashed shards' markers so a later merge (or
-      // --require-complete) sees a complete census: their unfinished
-      // cells are now durably stored by this process.
-      for (const std::size_t id : result.shards_missing) {
-        ShardMarker claim;
-        claim.shard = id;
-        claim.of = result.shards_expected;
-        claim.total_jobs = result.total_jobs;
-        claim.claimed_by_merge = true;
-        claim.stored = shard_slice(pending, id, result.shards_expected);
-        manifest.write_done(claim);
-      }
-    }
-  } else if (spec.flatten) {
-    // One queue over the whole cross product — the irregular-wavefront
-    // idiom: keep every worker busy as long as ANY job remains — drained
-    // longest-expected-first so the big cells never land on an
-    // otherwise-empty pool (a-priori costs only: with no cache there is
-    // nothing measured to refine them with).
-    std::vector<std::size_t> all(result.total_jobs);
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    ProgressReporter reporter(spec.progress_s, progress_out, result.total_jobs, hit_count,
-                              executed_count);
-    runs = core::parallel_runs_ordered(
-        result.total_jobs, cost_order(all, job_cost),
-        [&](std::size_t i) {
-          if (cancel_requested()) throw SweepCancelled();
-          core::RunResult run = run_job(i);
-          executed_count.fetch_add(1);
-          return run;
-        },
-        spec.threads);
-    reporter.stop();
-    result.executed_jobs = result.total_jobs;
+    result.worker_token = board->token();
+    claims.emplace(
+        *board, order, spec.lease_s, cancel_requested,
+        [&](std::size_t job) { return cache->load(paths[job]).has_value(); }, count_hit,
+        sink.stolen);
+    next = [&] { return claims->next(); };
+    cell = [&](std::size_t job) { claims->execute(job, run_cell); };
   } else {
-    // Legacy barrier mode: one small pool per (point, protocol), joined
-    // before the next starts.  Kept for wall-clock A/B comparisons.
-    runs.reserve(result.total_jobs);
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      for (const core::Protocol protocol : spec.protocols) {
-        if (cancel_requested()) throw SweepCancelled();
-        core::Replicated replicated = core::run_replicated(
-            configs[p], protocol, spec.base_seed, reps, spec.options, spec.threads);
-        for (core::RunResult& run : replicated.runs) runs.push_back(std::move(run));
-      }
-    }
-    result.executed_jobs = result.total_jobs;
+    // Cancellation throws from the next draw, so a started cell always
+    // completes (and stores) first.
+    next = [&]() -> std::optional<std::size_t> {
+      const std::size_t k = ticket.fetch_add(1);
+      if (k >= order.size()) return std::nullopt;
+      if (cancel_requested()) throw SweepCancelled();
+      return order[k];
+    };
+    drainers = core::drain_threads(spec.threads, order.size());
   }
+  {
+    ProgressReporter reporter(spec.progress_s,
+                              spec.progress_stream != nullptr ? *spec.progress_stream : std::cerr,
+                              result.total_jobs, sink.hits, sink.executed);
+    core::drain_parallel(drainers, next, cell);
+  }
+  result.executed_jobs = executed.load();
   result.cache_misses = result.executed_jobs;
 
-  // Fold back per (point, protocol) in expansion order.
+  if (spec.worker_mode) {
+    // No fold: `caem merge` folds the full sweep from pure cache hits
+    // once the last worker exits.  Publish this worker's telemetry.
+    result.cancelled = claims->stopped();
+    result.claims_stolen = board->stolen();
+    sink.stolen.store(result.claims_stolen);
+    result.wall_s = seconds_since_start();
+    WorkerMarker report;
+    report.token = board->token();
+    report.host = board->host();
+    report.pid = static_cast<std::uint64_t>(::getpid());
+    report.total_jobs = result.total_jobs;
+    report.cache_hits = result.cache_hits;
+    report.stolen = board->stolen();
+    report.wall_ms = result.wall_s * 1000.0;
+    report.stored = claims->executed();
+    const SweepManifest manifest(spec.cache_dir, result.sweep_digest);
+    manifest.write_worker_done(report);
+    result.marker_path = manifest.worker_marker_path(board->token());
+    return result;
+  }
+
+  // -- fold: per (point, protocol) in expansion order --
   result.points.reserve(grid.size());
   for (std::size_t p = 0; p < grid.size(); ++p) {
     PointResult point_result;
@@ -595,15 +495,14 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     point_result.protocols.reserve(protocol_count);
     for (std::size_t pr = 0; pr < protocol_count; ++pr) {
       const std::size_t base = (p * protocol_count + pr) * reps;
-      std::vector<core::RunResult> slice(runs.begin() + static_cast<std::ptrdiff_t>(base),
-                                         runs.begin() + static_cast<std::ptrdiff_t>(base + reps));
+      std::vector<core::RunResult> slice(
+          std::make_move_iterator(runs.begin() + static_cast<std::ptrdiff_t>(base)),
+          std::make_move_iterator(runs.begin() + static_cast<std::ptrdiff_t>(base + reps)));
       point_result.protocols.push_back({spec.protocols[pr], core::fold_runs(std::move(slice))});
     }
     result.points.push_back(std::move(point_result));
   }
-
-  result.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  result.wall_s = seconds_since_start();
   return result;
 }
 

@@ -1,18 +1,25 @@
-// engine.hpp — execute a ScenarioSpec as one flattened job queue.
+// engine.hpp — execute a ScenarioSpec as one job queue.
 //
-// The old figure benches ran nested loops with a barrier per (point,
-// protocol): each run_replicated call spun up its own pool of `reps`
-// workers, joined it, then moved on — so a 6-point, 3-protocol sweep
-// was 18 sequential barriers of tiny width and the pool drained to one
-// straggler 18 times.  The engine instead expands the whole
-// (grid point x protocol x replication) cross product up front and
-// feeds it to a single parallel_runs queue — the irregular-wavefront
-// idiom (arXiv:1605.00930): keep every worker busy as long as ANY job
-// remains, regardless of which sweep point it belongs to.  Results are
-// folded back per (point, protocol) afterwards; folding is cheap and
-// sequential, so determinism is preserved bit-for-bit: job (p, proto,
-// rep) always runs seed base_seed + rep on an identical config,
-// whatever thread picks it up.
+// The engine expands the whole (grid point x protocol x replication)
+// cross product up front and drains it as ONE queue — the
+// irregular-wavefront idiom (arXiv:1605.00930): keep every drainer busy
+// as long as ANY cell remains, regardless of which sweep point it
+// belongs to.  run_scenario is four steps:
+//
+//   expand   the grid and each point's config;
+//   resolve  cache keys, then hits loaded and misses listed (every cell
+//            is a miss when the cache is off);
+//   drain    one cost-ordered loop over the misses, fed by an
+//            in-process ticket on spec.threads threads or, in worker
+//            mode, by the store's ClaimBoard; each cell is stored the
+//            moment it finishes;
+//   fold     results back per (point, protocol) — skipped in worker
+//            mode, where `caem merge` folds.
+//
+// Determinism is preserved bit-for-bit: job (p, proto, rep) always runs
+// seed base_seed + rep on an identical config, whatever thread or
+// process picks it up, and results bind to job indices, never to drain
+// order.
 #pragma once
 
 #include <atomic>
@@ -23,7 +30,7 @@
 
 #include "core/experiment.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/shard_manifest.hpp"
+#include "scenario/sweep_manifest.hpp"
 #include "util/table_writer.hpp"
 
 namespace caem::scenario {
@@ -40,9 +47,10 @@ struct ProgressSink {
   std::atomic<std::size_t> stolen{0};  ///< stale claims stolen (worker mode)
 };
 
-/// Thrown by non-worker run_scenario modes when ScenarioSpec::cancel
-/// flips mid-drain (worker mode returns a partial result flagged
-/// `cancelled` instead — it holds distributed state worth reporting).
+/// Thrown by non-worker runs when ScenarioSpec::cancel flips mid-drain
+/// (worker mode returns a partial result flagged `cancelled` instead —
+/// it holds distributed state worth reporting).  Cells finished before
+/// the stop are already stored when the cache is on.
 class SweepCancelled : public std::runtime_error {
  public:
   SweepCancelled() : std::runtime_error("sweep cancelled") {}
@@ -70,48 +78,40 @@ struct ScenarioResult {
   std::vector<PointResult> points;     ///< grid expansion order
   std::size_t total_jobs = 0;
   bool cache_enabled = false;
-  /// Stats contract (coherent across all modes): cache_hits counts the
-  /// cells this process looked up and found, executed_jobs the cells it
-  /// simulated, and cache_misses == executed_jobs.  Unsharded/merge
-  /// runs scan the whole sweep, so cache_hits + executed_jobs ==
-  /// total_jobs; a shard run scans only its slice, so cache_hits +
-  /// executed_jobs == shard_jobs.  Summing executed_jobs over all
-  /// shards (plus the merge's) reconstructs the sweep's miss count.
+  /// Stats contract, the same in every mode: cache_hits counts the
+  /// cells this process found stored, executed_jobs the cells it
+  /// simulated, and cache_misses == executed_jobs.  A run that completes
+  /// observes every cell once, so cache_hits + executed_jobs ==
+  /// total_jobs — uncached (0 hits), cached, merge, and worker runs
+  /// alike.  Summing executed_jobs over a sweep's workers (plus the
+  /// merge's) reconstructs the sweep's miss count.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t executed_jobs = 0;
-  double wall_s = 0.0;  ///< end-to-end engine time (expansion + runs + fold)
+  double wall_s = 0.0;  ///< end-to-end engine time (expand + resolve + drain + fold)
 
-  // -- sharding / merge (see scenario/shard_manifest.hpp) --
-  std::size_t shard_index = 0;  ///< this process's 1-based shard id (0 = unsharded)
-  std::size_t shard_count = 0;  ///< >= 1 = partial shard run: points stays empty
-  std::size_t shard_jobs = 0;   ///< jobs in this shard's slice (hits + executed)
   std::string sweep_digest;     ///< job-list digest (set whenever the cache is on)
-  std::string marker_path;      ///< completion marker a shard run published
-  bool merged = false;          ///< merge mode: census + completion + full fold
-  std::size_t shards_expected = 0;          ///< merge: N inferred from markers (0 = none found)
-  std::size_t shards_done = 0;              ///< merge: markers present for that N
-  std::vector<std::size_t> shards_missing;  ///< merge: 1-based ids without a marker
+  bool merged = false;          ///< merge mode: worker census + full fold
 
   // -- worker mode (dynamic claiming, see scenario/work_queue.hpp) --
   /// Worker run: this process drained the shared claim queue; points
   /// stays empty (the merge folds).  cache_hits counts every cell this
-  /// worker observed already stored — at scan time or mid-drain when
-  /// another worker got there first — so cache_hits + executed_jobs ==
-  /// total_jobs for a worker that ran to completion.
+  /// worker observed already stored — at resolve or mid-drain when
+  /// another worker got there first.
   bool worker_mode = false;
   std::string worker_token;         ///< this worker's claim token
+  std::string marker_path;          ///< telemetry marker this worker published
   std::size_t claims_stolen = 0;    ///< stale/corrupt claims this worker stole
   /// Worker mode only: spec.cancel flipped mid-drain; the held claim
   /// was released, the telemetry marker written, and this result covers
   /// only the cells resolved before the stop.
   bool cancelled = false;
-  /// Merge: per-worker telemetry reports found beside the shard markers
-  /// (sorted by token) — the straggler census.
+  /// Merge: per-worker telemetry reports found for this sweep (sorted by
+  /// token) — the straggler census.
   std::vector<WorkerMarker> workers;
 };
 
-/// Decomposed flattened job index: job i is replication `rep` of
+/// Decomposed job index: job i is replication `rep` of
 /// `protocols[protocol]` at grid point `point` (rep varies fastest,
 /// point slowest), simulated at seed base_seed + rep.
 struct JobCoords {
@@ -120,47 +120,41 @@ struct JobCoords {
   std::size_t rep = 0;
 };
 
-/// The (point, protocol, rep) coordinates of flattened job `index`.
+/// The (point, protocol, rep) coordinates of job `index`.
 [[nodiscard]] JobCoords job_coords(const ScenarioSpec& spec, std::size_t index);
 
-/// Run the scenario.  spec.flatten=false falls back to the legacy
-/// per-point run_replicated barriers (kept for A/B perf measurement and
-/// as a determinism cross-check — both modes produce identical results).
+/// The cache entry key (ResultCache::entry_key) of every job, in job
+/// order: what resolve looks up, and what sweep_digest() pins.  Throws
+/// std::invalid_argument when a grid point's config does not validate.
+[[nodiscard]] std::vector<std::string> job_keys(const ScenarioSpec& spec);
+
+/// Run the scenario (expand -> resolve -> drain -> fold, see the header
+/// comment).
 ///
 /// With spec.cache_dir set (and use_cache), every (config digest,
 /// protocol, seed) cell is first looked up in the ResultCache: hits are
-/// never enqueued, misses execute on the flattened queue and are stored
-/// afterwards, so re-running a sweep after editing one axis only
-/// executes the new cells.  Caching requires the flattened queue
-/// (throws std::invalid_argument with scenario.flatten=0).
+/// never drained, misses execute and are stored one by one, so
+/// re-running a sweep after editing one axis only executes the new
+/// cells.
 ///
-/// With spec.shard_count >= 1, this process is one worker of a
-/// distributed launch: it scans only its index-stride slice of the
-/// queue, executes that slice's misses, stores them, publishes a
-/// completion marker and returns WITHOUT folding (points stays empty —
-/// the partial result set is meaningless to fold).  With
-/// spec.merge_shards, it censuses the markers, executes whatever cells
-/// the cache still misses (crashed shards' unfinished work), writes
-/// claim markers for the missing shards, then folds the whole sweep
-/// from pure cache hits — rendering byte-identically to a
-/// single-process run.  Both modes require the cache and throw
-/// std::invalid_argument without it (or when combined with each other).
+/// With spec.merge_shards (`caem merge`), the run is a cached run that
+/// also censuses the sweep's worker telemetry markers into `workers`:
+/// whatever cells crashed workers left unfinished are exactly the
+/// remaining misses, which the merge executes before folding — so the
+/// render is byte-identical to a single-process run.
 ///
 /// With spec.worker_mode, this process cooperatively drains the ONE
-/// shared queue instead of a static slice: cells are claimed
-/// dynamically in the cache dir (crash-safe lease/steal protocol —
-/// scenario/work_queue.hpp), drained longest-expected-first
-/// (scenario/cost_model.hpp), and the worker only exits once every
-/// cell of the sweep is durably cached — so killing any worker delays
-/// nothing beyond one lease.  Like a shard run it stores cells and
-/// publishes a (telemetry) marker but never folds.  Requires the
-/// cache; mutually exclusive with --shard and merge.
+/// shared queue: cells are claimed dynamically in the cache dir
+/// (crash-safe lease/steal protocol — scenario/work_queue.hpp), and the
+/// worker only exits once every cell of the sweep is durably cached —
+/// so killing any worker delays nothing beyond one lease.  It publishes
+/// a telemetry marker and never folds.
 ///
-/// Everywhere the engine executes cells it drains them in descending
-/// expected cost (LPT): a-priori node_count x horizon, refined by the
-/// measured wall_ms of cache entries already present for the same
-/// (protocol, node_count) family.  Order affects wall clock only —
-/// results bind to job indices, never to drain order.
+/// Worker and merge runs require the cache and are mutually exclusive;
+/// both throw std::invalid_argument otherwise.  Every drain is
+/// longest-expected-first (LPT): a-priori node_count x horizon, refined
+/// by the measured wall_ms of cache entries already present for the
+/// same (protocol, node_count) family.  Order affects wall clock only.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 /// Summary table: one row per (point, protocol) with the axis columns

@@ -19,7 +19,7 @@ ResultCache::ResultCache(std::string root) : root_(std::move(root)) {
 }
 
 std::string ResultCache::entry_key(const core::NetworkConfig& config, core::Protocol protocol,
-                                   std::uint64_t seed, const core::RunOptions& options) const {
+                                   std::uint64_t seed, const core::RunOptions& options) {
   const fs::path key = fs::path(config.digest()) /
                        (std::string(core::to_string(protocol)) + "_s" + std::to_string(seed) +
                         "_h" + util::format_full(options.max_sim_s) + "_d" +
@@ -47,12 +47,12 @@ std::optional<core::RunResult> ResultCache::load(const std::string& path) const 
 void ResultCache::store(const std::string& path, const core::RunResult& result) const {
   // Publish-by-rename (util::atomic_write_file) so a crash mid-write
   // leaves no half-entry under the final name, and two writers racing
-  // on the same cell — two sweeps, or two shards — leave one valid
+  // on the same cell — two sweeps, or two workers — leave one valid
   // entry: whoever renames last wins, and both wrote identical bytes
   // anyway (runs are deterministic functions of the key).  Readers
   // racing the rename see either the old complete entry or the new
   // complete entry, never a torn one — the contract the distributed
-  // shard protocol leans on (shard_manifest.hpp).
+  // worker protocol leans on (work_queue.hpp).
   util::atomic_write_file(path, core::to_json(result) + '\n', "result cache");
 }
 
@@ -87,7 +87,7 @@ std::vector<CacheEntryInfo> ResultCache::enumerate() const {
   for (const fs::directory_entry& digest_dir : digests) {
     if (!digest_dir.is_directory(error) || error) continue;
     const std::string digest = digest_dir.path().filename().string();
-    // "sweeps" holds shard markers and claims, "artifacts" rendered
+    // "sweeps" holds worker markers and claims, "artifacts" rendered
     // outputs (caem serve) — coordination state, not result entries.
     if (digest == "sweeps" || digest == "artifacts") continue;
     fs::directory_iterator cells(digest_dir.path(), error);

@@ -65,11 +65,11 @@ class ResultCache {
   /// Cache key of one (config, protocol, seed, options) cell relative to
   /// root(): "<config digest>/<protocol>_s<seed>_h<horizon>_d<flag>.json".
   /// The ordered list of a sweep's entry keys is also the basis of the
-  /// sweep digest that shard completion markers live under (see
-  /// scenario/shard_manifest.hpp).
-  [[nodiscard]] std::string entry_key(const core::NetworkConfig& config,
-                                      core::Protocol protocol, std::uint64_t seed,
-                                      const core::RunOptions& options) const;
+  /// sweep digest that worker markers and claims live under (see
+  /// scenario/sweep_manifest.hpp).
+  [[nodiscard]] static std::string entry_key(const core::NetworkConfig& config,
+                                             core::Protocol protocol, std::uint64_t seed,
+                                             const core::RunOptions& options);
 
   /// root()/entry_key(...) — the absolute entry location.
   [[nodiscard]] std::string entry_path(const core::NetworkConfig& config,

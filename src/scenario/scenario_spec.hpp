@@ -4,7 +4,7 @@
 // includes, CRLF tolerated) with three reserved prefixes:
 //
 //   scenario.*   run control: name, protocols, seed, reps, max_sim_s,
-//                run_to_death, flatten, threads, cache_dir
+//                run_to_death, threads, cache_dir
 //   sweep.*      grid axes over NetworkConfig keys (list:/range: specs;
 //                a comma-joint key sweeps several keys in lockstep)
 //   output.*     artifact paths: output.csv, output.json, output.trace
@@ -41,8 +41,7 @@ struct ScenarioSpec {
   std::uint64_t base_seed = 2005;
   std::size_t replications = 2;
   core::RunOptions options;   ///< scenario.max_sim_s / scenario.run_to_death
-  bool flatten = true;        ///< false = legacy per-point barriers (perf A/B)
-  std::size_t threads = 0;    ///< 0 = hardware concurrency
+  std::size_t threads = 0;    ///< drain threads; 0 = hardware concurrency
 
   /// Starting NetworkConfig before file/CLI overrides (benches seed this
   /// with their parsed CLI config; the file path starts from defaults).
@@ -68,26 +67,15 @@ struct ScenarioSpec {
   /// neither read nor write it.
   bool use_cache = true;
 
-  /// `caem run --shard=i/N` (CLI-only; deliberately NOT a file key —
-  /// every process of a sharded launch runs the same scenario file and
-  /// differs only in this flag): execute only the cache-miss cells
-  /// whose flattened job index is congruent to shard_index-1 mod
-  /// shard_count, store them into the shared cache dir, and publish a
-  /// completion marker instead of folding/rendering.  Requires the
-  /// result cache.  See scenario/shard_manifest.hpp.
-  std::size_t shard_index = 0;  ///< 1-based when sharded
-  std::size_t shard_count = 0;  ///< 0 = unsharded; >= 1 = shard run (an
-                                ///< explicit --shard=1/1 still publishes
-                                ///< its marker for the merge census)
-  /// `caem merge` / `caem run --require-complete` (CLI-only): census
-  /// the sweep's shard completion markers, execute any cell the cache
-  /// still misses (claiming crashed shards' unfinished cells), write
-  /// claim markers on their behalf, then fold and render exactly like
-  /// a single-process run.
+  /// `caem merge` (CLI-only): census the sweep's worker telemetry
+  /// markers, execute any cell the cache still misses (crashed workers'
+  /// unfinished cells), then fold and render exactly like a
+  /// single-process run.  Requires the result cache.
   bool merge_shards = false;
 
-  /// `caem run --worker` (CLI-only, same every-process-same-file
-  /// contract as --shard): drain the sweep's ONE shared queue by
+  /// `caem run --worker` (CLI-only; deliberately NOT a file key — every
+  /// process of a distributed launch runs the same scenario file and
+  /// differs only in this flag): drain the sweep's ONE shared queue by
   /// dynamically claiming cells in the cache dir — any number of
   /// workers, started and stopped at any time, cooperate without a
   /// static partition.  Cells drain longest-expected-first, a worker
@@ -120,8 +108,9 @@ struct ScenarioSpec {
   /// engine stops launching cells.  Worker mode releases its held claim,
   /// still publishes its telemetry marker, and returns a partial result
   /// flagged `cancelled`; every other mode throws SweepCancelled (no
-  /// partial fold is ever rendered).  Already-finished cells stay
-  /// durably cached either way — cancellation never loses work.
+  /// partial fold is ever rendered).  With the cache on, every cell
+  /// finished before the stop is already stored either way — the drain
+  /// stores each cell as it completes, so cancellation never loses work.
   const std::atomic<bool>* cancel = nullptr;
 
   /// Record every cache hit in the entry's `.touch` sidecar so the
@@ -147,8 +136,7 @@ struct ScenarioSpec {
   /// Throws std::invalid_argument naming any unknown override key.
   [[nodiscard]] core::NetworkConfig config_at(const GridPoint& point) const;
 
-  /// grid_size(axes) * protocols * replications — the flattened queue
-  /// length.
+  /// grid_size(axes) * protocols * replications — the job queue length.
   [[nodiscard]] std::size_t total_jobs() const;
 
  private:

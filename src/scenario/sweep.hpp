@@ -3,7 +3,7 @@
 // A scenario file declares sweep axes as `sweep.<config_key> = list:...`
 // or `sweep.<config_key> = range:start:stop:step`; this layer parses the
 // value specs and expands the cartesian product into a deterministic,
-// ordered list of grid points the engine flattens into one job queue.
+// ordered list of grid points the engine expands into one job queue.
 #pragma once
 
 #include <cstddef>

@@ -1,0 +1,78 @@
+// sweep_manifest.hpp — sweep digests and worker telemetry markers.
+//
+// A distributed sweep runs `caem run --worker` on any number of
+// processes (or hosts) that share one result-cache directory.  There is
+// no separate control plane: the cache IS the coordination substrate
+// (the UtilCache idea — a shared cache doubles as the merge point).
+// Claims settle who executes each cell (work_queue.hpp); completion is
+// read from the cache itself — a cell is done iff its entry exists.
+//
+// Everything a sweep keeps beside its entries lives under
+//
+//   <cache-dir>/sweeps/<sweep digest>/
+//
+// where the sweep digest pins the whole job list (every cell's cache
+// key, in job order), so state from a different scenario, seed, or axis
+// edit can never be mistaken for this sweep's.  A worker that finishes
+// its drain publishes a telemetry report there,
+// `worker_<sanitized token>.done`, recording which cells it executed and
+// at what cost, so `caem merge` can name the straggler instead of
+// leaving load imbalance invisible.  Reports are written
+// write-then-rename, like cache entries, and are pure telemetry: the
+// merge folds from cache hits alone.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+namespace caem::scenario {
+
+/// Digest of a sweep's job list: the ordered cache entry keys
+/// (ResultCache::entry_key) of every job.  Identical for every worker of
+/// the same sweep; different for any edit that changes a cell or the
+/// job-index mapping.
+[[nodiscard]] std::string sweep_digest(const std::vector<std::string>& job_keys);
+
+/// Per-worker completion report for a dynamically claimed sweep
+/// (`caem run --worker`).  It claims nothing — the claim protocol
+/// (work_queue.hpp) already settled ownership cell by cell — it is pure
+/// telemetry: which cells this worker actually drained and at what cost.
+struct WorkerMarker {
+  std::string token;                ///< ClaimBoard token (host:pid:nonce-…)
+  std::string host;
+  std::uint64_t pid = 0;
+  std::size_t total_jobs = 0;       ///< job queue length of the sweep
+  std::size_t cache_hits = 0;       ///< cells this worker found already stored
+  std::size_t stolen = 0;           ///< stale/corrupt claims this worker stole
+  double wall_ms = 0.0;             ///< worker wall clock, drain start to finish
+  std::vector<std::size_t> stored;  ///< job indices this worker executed and stored
+};
+
+/// Marker I/O rooted at `<cache-dir>/sweeps/<sweep digest>/`.  Markers
+/// are plain `key = value` text (util::Config syntax); anything
+/// unreadable, unparseable, or stamped with a different sweep digest
+/// reads as absent, never as data.
+class SweepManifest {
+ public:
+  SweepManifest(const std::string& cache_root, const std::string& sweep);
+
+  [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
+
+  [[nodiscard]] std::string worker_marker_path(const std::string& token) const;
+
+  /// Atomically publish a worker's completion report (creates the sweep
+  /// dir).  Throws std::runtime_error on an unwritable path and
+  /// std::invalid_argument on an empty token.
+  void write_worker_done(const WorkerMarker& marker) const;
+
+  /// Every valid worker report present for this sweep, sorted by token.
+  [[nodiscard]] std::vector<WorkerMarker> collect_workers() const;
+
+ private:
+  std::string sweep_;
+  std::string dir_;
+};
+
+}  // namespace caem::scenario

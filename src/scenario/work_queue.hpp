@@ -1,10 +1,10 @@
 // work_queue.hpp — crash-safe dynamic cell claiming for distributed sweeps.
 //
-// Static `--shard=i/N` residue slices make a sweep's wall clock the
-// slowest shard's wall clock: whoever draws the run-to-extinction cell
-// drags the merge while every other shard idles.  Worker mode replaces
-// the static partition with one shared queue that N cooperating
-// `caem run --worker` processes drain by CLAIMING cells dynamically —
+// A static partition of a sweep makes its wall clock the slowest
+// slice's wall clock: whoever draws the run-to-extinction cell drags the
+// merge while every other process idles.  Worker mode instead keeps one
+// shared queue that N cooperating `caem run --worker` processes drain
+// by CLAIMING cells dynamically —
 // the work-stealing answer to irregular workloads (arXiv:1605.00930),
 // with the shared cache directory again serving as the only
 // coordination substrate (no daemon, no socket: claims are files).
@@ -63,7 +63,7 @@ struct ClaimInfo {
   std::string token;           ///< unique claimant id (host:pid:nonce)
   std::string host;
   std::uint64_t pid = 0;
-  std::size_t job = 0;         ///< flattened job index
+  std::size_t job = 0;         ///< job index in the sweep
   std::uint64_t epoch_ms = 0;  ///< last acquire/refresh wall-clock stamp
   double lease_s = 0.0;        ///< staleness horizon the claimant announced
 };

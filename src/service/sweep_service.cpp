@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "scenario/result_cache.hpp"
-#include "scenario/sweep.hpp"
 #include "sim/kernel_stats.hpp"
 #include "util/config.hpp"
 #include "util/table_writer.hpp"
@@ -184,8 +183,6 @@ HttpResponse SweepService::submit(const HttpRequest& request) {
   // are CLI process-launch concerns; the service runs its own drains).
   sweep->spec.cache_dir = config_.store_dir;
   sweep->spec.use_cache = true;
-  sweep->spec.shard_index = 0;
-  sweep->spec.shard_count = 0;
   sweep->spec.worker_mode = false;
   sweep->spec.merge_shards = false;
   sweep->spec.progress_s = 0.0;
@@ -195,23 +192,11 @@ HttpResponse SweepService::submit(const HttpRequest& request) {
   // janitor pin set and the precached count.
   std::vector<std::string> keys;
   try {
-    const scenario::ResultCache cache(config_.store_dir);
-    const std::vector<scenario::GridPoint> grid = scenario::expand_grid(sweep->spec.axes);
-    std::vector<core::NetworkConfig> configs;
-    configs.reserve(grid.size());
-    for (const scenario::GridPoint& point : grid) {
-      configs.push_back(sweep->spec.config_at(point));
-    }
-    sweep->total_jobs = sweep->spec.total_jobs();
-    keys.reserve(sweep->total_jobs);
-    for (std::size_t i = 0; i < sweep->total_jobs; ++i) {
-      const scenario::JobCoords c = scenario::job_coords(sweep->spec, i);
-      keys.push_back(cache.entry_key(configs[c.point], sweep->spec.protocols[c.protocol],
-                                     sweep->spec.base_seed + c.rep, sweep->spec.options));
-    }
+    keys = scenario::job_keys(sweep->spec);
   } catch (const std::exception& error) {
     return error_response(400, error.what());
   }
+  sweep->total_jobs = keys.size();
   for (const std::string& key : keys) {
     std::string path = (fs::path(config_.store_dir) / key).string();
     std::error_code error;

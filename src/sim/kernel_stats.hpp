@@ -8,7 +8,7 @@
 // Diagnostics only: never part of simulation artifacts.
 #pragma once
 
-#include "sim/pending_set.hpp"
+#include "sim/event.hpp"
 
 namespace caem::sim {
 

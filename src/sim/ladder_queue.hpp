@@ -1,4 +1,4 @@
-// ladder_queue.hpp — bucketed pending-event set (PendingSet impl).
+// ladder_queue.hpp — the kernel's bucketed pending-event set.
 //
 // A two-tier ladder/calendar structure (Tang & Gan's "ladder queue"
 // adapted to this kernel's generation-stamped cancel contract) with
@@ -20,12 +20,13 @@
 //           appends are O(1).  When the ladder runs dry, the top is
 //           spread into a fresh outermost rung (one epoch).
 //
-// Pop order is bit-identical to EventQueue's: every structure boundary
-// is a strict time bound (equal-time events are never split across
-// regions except where the older group provably drains first), and
-// every drained bucket is keyed and sorted by (time, sequence) before
-// popping, so the global drain sequence is exact FIFO for ties —
-// artifacts cannot distinguish the two implementations.
+// Pop order is bit-identical to a binary min-heap's (the EventQueue
+// oracle in tests/support, which the queue tests and bench_queue
+// compare it with): every structure boundary is a strict time bound
+// (equal-time events are never split across regions except where the
+// older group provably drains first), and every drained bucket is keyed
+// and sorted by (time, sequence) before popping, so the global drain
+// sequence is exact FIFO for ties.
 //
 // Locality pass (the reason buckets hold events/s flat, not just big-O):
 //   * entries are 24-byte PODs — every sort and every rung spread is a
@@ -67,21 +68,30 @@
 #include <limits>
 #include <vector>
 
+#include "sim/event.hpp"
 #include "sim/event_fn.hpp"
-#include "sim/pending_set.hpp"
-#include "sim/slot_table.hpp"
+#include "sim/gen_table.hpp"
 
 namespace caem::sim {
 
-class LadderQueue final : public PendingSet {
+class LadderQueue {
  public:
   using Fired = sim::Fired;
 
-  EventId schedule(double time_s, EventCallback callback) override;
-  bool cancel(EventId id) noexcept override;
+  /// Schedule `callback` at absolute time `time_s`.  Returns a handle
+  /// usable with cancel().  Throws std::invalid_argument for NaN times
+  /// or an empty callback.
+  EventId schedule(double time_s, EventCallback callback);
 
-  [[nodiscard]] bool empty() const noexcept override { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept override { return live_count_; }
+  /// Cancel a pending event in O(1).  Returns true if the event was
+  /// pending; false if it already fired, was already cancelled, or is
+  /// invalid/stale.
+  bool cancel(EventId id) noexcept;
+
+  /// True when no live (non-cancelled) events remain.
+  [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
+  /// Number of live pending events.
+  [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// Time of the earliest live event; throws std::out_of_range when
   /// empty.  May restage buckets / prune tombstones (hence non-const).
@@ -90,17 +100,22 @@ class LadderQueue final : public PendingSet {
   /// Const variant for idle checks.  Logically const: restaging moves
   /// entries between internal containers but never changes the live
   /// event set or its drain order.
-  [[nodiscard]] double peek_time() const override {
+  [[nodiscard]] double peek_time() const {
     return const_cast<LadderQueue*>(this)->next_time();
   }
 
-  Fired pop() override;
-  void clear() noexcept override;
+  /// Remove and return the earliest live event.
+  /// Throws std::out_of_range when empty.
+  Fired pop();
 
-  [[nodiscard]] KernelCounters counters() const noexcept override {
+  /// Drop every pending event.  Outstanding ids become stale (their
+  /// cancel() returns false) and are never reused.
+  void clear() noexcept;
+
+  /// Lifetime op counts (see KernelCounters).
+  [[nodiscard]] KernelCounters counters() const noexcept {
     return {total_scheduled(), fired_count_, cancelled_count_, pruned_count_};
   }
-  [[nodiscard]] const char* kind_name() const noexcept override { return "ladder"; }
 
   /// Total events ever scheduled (diagnostics / micro-benchmarks).
   [[nodiscard]] std::uint64_t total_scheduled() const noexcept { return next_sequence_ - 1; }

@@ -6,7 +6,7 @@
 // the old complete file or the new complete file, never a torn one,
 // and a crash mid-write leaves at worst a stray .tmp — never a
 // half-written file under the final name.  This is the discipline both
-// the result cache and the shard completion markers rely on; keeping
+// the result cache and the worker telemetry markers rely on; keeping
 // it in one place keeps their crash-safety stories identical.
 #pragma once
 

@@ -1,4 +1,4 @@
-#include "sim/event_queue.hpp"
+#include "support/event_queue.hpp"
 
 #include <cmath>
 #include <stdexcept>

@@ -1,9 +1,11 @@
-// event_queue.hpp — binary-heap pending-event set (PendingSet impl).
+// event_queue.hpp — binary-heap pending-event set: the LadderQueue's oracle.
 //
 // A binary min-heap ordered by (time, sequence) so simultaneous events
-// fire in scheduling (FIFO) order, which keeps runs deterministic.
-// This is the O(log n) baseline the LadderQueue is benchmarked against
-// (`sim.queue_kind=heap`); both produce identical pop order.
+// fire in scheduling (FIFO) order.  This is the original kernel
+// structure, kept as test support only: the O(log n) baseline
+// bench_queue gates the LadderQueue against, and the equivalence oracle
+// the queue tests compare its pop stream with.  Both produce identical
+// pop order and expose the same schedule/cancel/pop/clear surface.
 //
 // Hot-path design:
 //   * Callbacks are sim::EventFn (48-byte small-buffer optimisation), so
@@ -21,20 +23,20 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
-#include "sim/pending_set.hpp"
-#include "sim/slot_table.hpp"
+#include "sim/event.hpp"
+#include "support/slot_table.hpp"
 
 namespace caem::sim {
 
-class EventQueue final : public PendingSet {
+class EventQueue {
  public:
   using Fired = sim::Fired;
 
-  EventId schedule(double time_s, EventCallback callback) override;
-  bool cancel(EventId id) noexcept override;
+  EventId schedule(double time_s, EventCallback callback);
+  bool cancel(EventId id) noexcept;
 
-  [[nodiscard]] bool empty() const noexcept override { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept override { return live_count_; }
+  [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return live_count_; }
 
   /// Time of the earliest live event; throws std::out_of_range when
   /// empty.  Prunes tombstones off the heap top (hence non-const).
@@ -43,17 +45,16 @@ class EventQueue final : public PendingSet {
   /// Const variant for idle checks.  Logically const: tombstone pruning
   /// changes no observable state (live events and their order are
   /// untouched), so the cast is sound.
-  [[nodiscard]] double peek_time() const override {
+  [[nodiscard]] double peek_time() const {
     return const_cast<EventQueue*>(this)->next_time();
   }
 
-  Fired pop() override;
-  void clear() noexcept override;
+  Fired pop();
+  void clear() noexcept;
 
-  [[nodiscard]] KernelCounters counters() const noexcept override {
+  [[nodiscard]] KernelCounters counters() const noexcept {
     return {total_scheduled(), fired_count_, cancelled_count_, pruned_count_};
   }
-  [[nodiscard]] const char* kind_name() const noexcept override { return "heap"; }
 
   /// Total events ever scheduled (diagnostics / micro-benchmarks).
   [[nodiscard]] std::uint64_t total_scheduled() const noexcept { return next_sequence_ - 1; }

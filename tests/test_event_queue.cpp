@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
-#include "sim/event_queue.hpp"
+#include "support/event_queue.hpp"
 
 namespace caem::sim {
 namespace {

@@ -1,9 +1,13 @@
-// Tests for the parallel experiment runner.
+// Tests for the parallel drain primitive, parallel_runs and fold_runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/experiment.hpp"
 
@@ -46,42 +50,36 @@ TEST(ParallelRuns, EmptyAndErrors) {
                std::runtime_error);
 }
 
-TEST(ParallelRunsOrdered, ScattersByOriginalIdWhateverTheDrainOrder) {
-  // Drain order 5,2,0,... must not change which slot each job fills.
-  const std::vector<std::size_t> order = {5, 2, 0, 7, 1, 6, 3, 4};
-  std::vector<std::size_t> started;
-  const auto results = parallel_runs_ordered(
-      8, order,
-      [&](std::size_t i) {
-        started.push_back(i);
-        RunResult result;
-        result.seed = i;
-        return result;
-      },
-      1);
-  ASSERT_EQ(results.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(results[i].seed, i);
-  // Single-threaded: the ticket counter hands jobs out in drain order.
-  EXPECT_EQ(started, order);
-}
+TEST(ParallelRuns, DrainHandsOutEveryCellOnceAndStopsAtTheFirstError) {
+  // The engine's drain primitive: every cell `next` hands out runs
+  // exactly once, whichever drainer takes it ...
+  constexpr std::size_t kCells = 64;
+  std::atomic<std::size_t> ticket{0};
+  std::vector<std::atomic<int>> runs(kCells);
+  const auto next = [&]() -> std::optional<std::size_t> {
+    const std::size_t k = ticket.fetch_add(1);
+    if (k >= kCells) return std::nullopt;
+    return k;
+  };
+  drain_parallel(4, next, [&](std::size_t i) { ++runs[i]; });
+  for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
 
-TEST(ParallelRunsOrdered, PartialOrderLeavesOtherSlotsDefault) {
-  const auto results = parallel_runs_ordered(4, {3, 1}, [](std::size_t i) {
-    RunResult result;
-    result.seed = 100 + i;
-    return result;
-  });
-  EXPECT_EQ(results[1].seed, 101u);
-  EXPECT_EQ(results[3].seed, 103u);
-  EXPECT_EQ(results[0].seed, 0u);
-  EXPECT_EQ(results[2].seed, 0u);
-}
-
-TEST(ParallelRunsOrdered, RejectsDuplicateAndOutOfRangeIds) {
-  const auto job = [](std::size_t) { return RunResult{}; };
-  EXPECT_THROW((void)parallel_runs_ordered(4, {0, 1, 1}, job), std::invalid_argument);
-  EXPECT_THROW((void)parallel_runs_ordered(4, {0, 4}, job), std::invalid_argument);
-  EXPECT_TRUE(parallel_runs_ordered(0, {}, job).empty());
+  // ... and the first failure stops every drainer at its next draw, so
+  // the cells behind it never start, then propagates.
+  ticket.store(0);
+  std::atomic<std::size_t> started{0};
+  EXPECT_THROW(drain_parallel(4, next,
+                              [&](std::size_t i) {
+                                ++started;
+                                if (i == 0) throw std::runtime_error("boom");
+                                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                              }),
+               std::runtime_error);
+  EXPECT_LT(started.load(), kCells);
+  EXPECT_EQ(drain_threads(0, 3), std::min<std::size_t>(
+                                     3, std::max(1u, std::thread::hardware_concurrency())));
+  EXPECT_EQ(drain_threads(8, 3), 3u);
+  EXPECT_EQ(drain_threads(2, 0), 0u);
 }
 
 TEST(ParallelRuns, MatchesSequentialSimulation) {
@@ -158,11 +156,16 @@ TEST(ParallelRuns, FlattenedQueueOutpacesPerPointBarriers) {
       << "flat " << flat_s << " s vs barrier " << barrier_s << " s";
 }
 
-TEST(RunReplicated, FoldsScalars) {
+TEST(FoldRuns, FoldsScalarsOfReplications) {
   RunOptions options;
   options.max_sim_s = 10.0;
-  const Replicated summary =
-      run_replicated(tiny_config(), protocol_from_string("leach"), 100, 3, options, 3);
+  const Replicated summary = fold_runs(parallel_runs(
+      3,
+      [&](std::size_t i) {
+        return SimulationRunner::run(tiny_config(), protocol_from_string("leach"), 100 + i,
+                                     options);
+      },
+      3));
   EXPECT_EQ(summary.runs.size(), 3u);
   EXPECT_EQ(summary.delivery_rate.count(), 3u);
   EXPECT_GT(summary.total_consumed_j.mean(), 0.0);

@@ -1,5 +1,5 @@
 // Tests for the scenario subsystem: axis parsing (incl. joint axes),
-// grid expansion, spec dispatch/rejection, the flattened sweep engine,
+// grid expansion, spec dispatch/rejection, the sweep engine,
 // the digest-keyed result cache and the trace artifact sink.
 #include <gtest/gtest.h>
 
@@ -7,10 +7,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/simulation_runner.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "scenario/sweep.hpp"
+#include "support/sweep_fixtures.hpp"
 
 namespace caem::scenario {
 namespace {
@@ -162,6 +164,18 @@ TEST(Spec, RejectsUnknownKeysEverywhere) {
   // Value that fails NetworkConfig::validate.
   EXPECT_THROW((void)ScenarioSpec::from_config(util::Config::from_text("node_count = 1\n")),
                std::invalid_argument);
+  // Retired execution knobs are unknown keys like any typo, in files
+  // and CLI overrides alike.
+  EXPECT_THROW((void)ScenarioSpec::from_config(util::Config::from_text("sim.queue_kind = heap\n")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)ScenarioSpec::from_config(util::Config::from_text("scenario.flatten = 0\n")),
+      std::invalid_argument);
+  ScenarioSpec spec;
+  EXPECT_THROW(spec.apply_cli_overrides(util::Config::from_args({"sim.queue_kind=ladder"})),
+               std::invalid_argument);
+  EXPECT_THROW(spec.apply_cli_overrides(util::Config::from_args({"scenario.flatten=1"})),
+               std::invalid_argument);
 }
 
 TEST(Spec, CliOverridesReplaceAxesAndFields) {
@@ -220,6 +234,11 @@ ScenarioSpec tiny_spec() {
 TEST(Engine, FoldsPerPointPerProtocol) {
   const ScenarioResult result = run_scenario(tiny_spec());
   EXPECT_EQ(result.total_jobs, 8u);
+  // Stats contract, uncached: every cell is a miss and executes.
+  EXPECT_FALSE(result.cache_enabled);
+  EXPECT_EQ(result.cache_hits, 0u);
+  EXPECT_EQ(result.executed_jobs, result.total_jobs);
+  EXPECT_EQ(result.cache_misses, result.executed_jobs);
   ASSERT_EQ(result.points.size(), 2u);
   for (const PointResult& point : result.points) {
     ASSERT_EQ(point.protocols.size(), 2u);
@@ -232,27 +251,33 @@ TEST(Engine, FoldsPerPointPerProtocol) {
   EXPECT_DOUBLE_EQ(result.points[1].config.traffic_rate_pps, 6.0);
 }
 
-TEST(Engine, FlattenedMatchesBarrierAndRunReplicated) {
+TEST(Engine, ThreadCountNeverChangesResults) {
   ScenarioSpec spec = tiny_spec();
-  const ScenarioResult flat = run_scenario(spec);
-  spec.flatten = false;
-  const ScenarioResult barrier = run_scenario(spec);
-  // Direct replication of one cell, outside the engine.
-  const core::Replicated direct = core::run_replicated(
-      flat.points[1].config, core::protocol_from_string("scheme2"), spec.base_seed, spec.replications,
-      spec.options);
-  for (std::size_t p = 0; p < flat.points.size(); ++p) {
-    for (std::size_t pr = 0; pr < flat.points[p].protocols.size(); ++pr) {
-      const core::Replicated& a = flat.points[p].protocols[pr].replicated;
-      const core::Replicated& b = barrier.points[p].protocols[pr].replicated;
+  spec.threads = 1;
+  const ScenarioResult serial = run_scenario(spec);
+  spec.threads = 3;
+  const ScenarioResult parallel = run_scenario(spec);
+  ASSERT_EQ(serial.points.size(), parallel.points.size());
+  for (std::size_t p = 0; p < serial.points.size(); ++p) {
+    for (std::size_t pr = 0; pr < serial.points[p].protocols.size(); ++pr) {
+      const core::Replicated& a = serial.points[p].protocols[pr].replicated;
+      const core::Replicated& b = parallel.points[p].protocols[pr].replicated;
       EXPECT_DOUBLE_EQ(a.total_consumed_j.mean(), b.total_consumed_j.mean());
       EXPECT_DOUBLE_EQ(a.lifetime_s.mean(), b.lifetime_s.mean());
       EXPECT_DOUBLE_EQ(a.delivery_rate.mean(), b.delivery_rate.mean());
     }
   }
-  const core::Replicated& engine_cell = flat.points[1].protocols[1].replicated;
-  EXPECT_DOUBLE_EQ(engine_cell.total_consumed_j.mean(), direct.total_consumed_j.mean());
-  EXPECT_EQ(engine_cell.runs[0].generated, direct.runs[0].generated);
+  // Job (point, protocol, rep) is seed base_seed + rep on the point's
+  // config, whichever drainer ran it: the engine's cell equals direct
+  // runs outside the engine.
+  const core::Replicated& engine_cell = parallel.points[1].protocols[1].replicated;
+  for (std::size_t rep = 0; rep < spec.replications; ++rep) {
+    const core::RunResult direct =
+        core::SimulationRunner::run(parallel.points[1].config, core::protocol_from_string("scheme2"),
+                                    spec.base_seed + rep, spec.options);
+    EXPECT_EQ(engine_cell.runs[rep].generated, direct.generated);
+    EXPECT_DOUBLE_EQ(engine_cell.runs[rep].total_consumed_j, direct.total_consumed_j);
+  }
 }
 
 TEST(Engine, SummaryTableExposesFoldExclusionContract) {
@@ -275,14 +300,7 @@ TEST(Engine, SummaryTableExposesFoldExclusionContract) {
 // ----------------------------------------------------------------- cache
 
 namespace fs = std::filesystem;
-
-/// Fresh scratch dir per test (ctest runs tests concurrently).
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("caem_test_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using test_support::scratch_dir;
 
 std::string summary_csv(const ScenarioResult& result) {
   std::ostringstream out;
@@ -291,7 +309,7 @@ std::string summary_csv(const ScenarioResult& result) {
 }
 
 TEST(Cache, RoundTripAndMissOnAbsentOrCorrupt) {
-  const fs::path dir = scratch_dir("cache_roundtrip");
+  const fs::path dir = scratch_dir("test_cache_roundtrip");
   const ResultCache cache(dir.string());
   core::NetworkConfig config;
   core::RunOptions options;
@@ -331,7 +349,7 @@ TEST(Cache, RoundTripAndMissOnAbsentOrCorrupt) {
 }
 
 TEST(Cache, SecondRunIsPureHitsWithIdenticalResults) {
-  const fs::path dir = scratch_dir("cache_rerun");
+  const fs::path dir = scratch_dir("test_cache_rerun");
   ScenarioSpec spec = tiny_spec();
   spec.cache_dir = dir.string();
 
@@ -339,18 +357,20 @@ TEST(Cache, SecondRunIsPureHitsWithIdenticalResults) {
   EXPECT_TRUE(cold.cache_enabled);
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.executed_jobs, cold.total_jobs);
+  EXPECT_EQ(cold.cache_misses, cold.executed_jobs);
 
   const ScenarioResult warm = run_scenario(spec);
   EXPECT_EQ(warm.cache_hits, warm.total_jobs);
   EXPECT_EQ(warm.executed_jobs, 0u);
   EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.cache_hits + warm.executed_jobs, warm.total_jobs);
   // The folded summary must be indistinguishable from the computed one.
   EXPECT_EQ(summary_csv(warm), summary_csv(cold));
   fs::remove_all(dir);
 }
 
 TEST(Cache, EditedAxisExecutesOnlyTheNewCells) {
-  const fs::path dir = scratch_dir("cache_edit");
+  const fs::path dir = scratch_dir("test_cache_edit");
   ScenarioSpec spec = tiny_spec();
   spec.cache_dir = dir.string();
   (void)run_scenario(spec);  // warm: traffic 3, 6
@@ -371,26 +391,25 @@ TEST(Cache, EditedAxisExecutesOnlyTheNewCells) {
   fs::remove_all(dir);
 }
 
-TEST(Cache, NoCacheFlagAndBarrierModeContracts) {
+TEST(Cache, NoCacheFlagNeitherReadsNorWrites) {
   ScenarioSpec spec = tiny_spec();
   spec.cache_dir = (fs::temp_directory_path() / "caem_test_never_created").string();
   spec.use_cache = false;  // --no-cache: neither read nor write
   const ScenarioResult result = run_scenario(spec);
   EXPECT_FALSE(result.cache_enabled);
+  EXPECT_EQ(result.cache_hits, 0u);
   EXPECT_EQ(result.executed_jobs, result.total_jobs);
+  EXPECT_EQ(result.cache_misses, result.executed_jobs);
+  EXPECT_TRUE(result.sweep_digest.empty());
   EXPECT_FALSE(fs::exists(spec.cache_dir));
-
-  spec.use_cache = true;
-  spec.flatten = false;
-  EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- trace
 
 TEST(Trace, ArtifactsRoundTripByteForByteThroughTheCache) {
-  const fs::path cache_dir = scratch_dir("trace_cache");
-  const fs::path trace_cold = scratch_dir("trace_cold");
-  const fs::path trace_warm = scratch_dir("trace_warm");
+  const fs::path cache_dir = scratch_dir("test_trace_cache");
+  const fs::path trace_cold = scratch_dir("test_trace_cold");
+  const fs::path trace_warm = scratch_dir("test_trace_warm");
 
   ScenarioSpec spec = tiny_spec();
   spec.cache_dir = cache_dir.string();

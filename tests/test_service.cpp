@@ -23,6 +23,7 @@
 #include "service/cache_janitor.hpp"
 #include "service/http_endpoint.hpp"
 #include "service/sweep_service.hpp"
+#include "support/sweep_fixtures.hpp"
 #include "util/config.hpp"
 
 namespace caem::service {
@@ -30,20 +31,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch dir per test (ctest runs tests concurrently).
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("caem_service_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using test_support::read_file;
+using test_support::scratch_dir;
 
 bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
@@ -58,7 +47,7 @@ HttpRequest make_request(std::string method, std::string target, std::string bod
 }
 
 /// Small but non-trivial sweep: 2 points x 2 protocols x 2 reps = 8
-/// cells, each a fraction of a second — the same shape the sharding
+/// cells, each a fraction of a second — the same shape the merge
 /// battery uses.
 constexpr const char* kScenarioText =
     "scenario.name = svc-bat\n"
@@ -123,7 +112,7 @@ TEST(HttpEndpoint, RoundTripsRequestsOverLoopback) {
 // ------------------------------------------------------ sweep lifecycle
 
 TEST(SweepService, SubmitDrainFetchMatchesDirectRun) {
-  const fs::path store = scratch_dir("lifecycle_store");
+  const fs::path store = scratch_dir("service_lifecycle_store");
   SweepService service(serve_config(store));
 
   const HttpResponse created = service.handle(make_request("POST", "/sweeps", kScenarioText));
@@ -136,6 +125,10 @@ TEST(SweepService, SubmitDrainFetchMatchesDirectRun) {
   EXPECT_TRUE(contains(status.body, "\"state\":\"done\"")) << status.body;
   EXPECT_TRUE(contains(status.body, "\"total\":8"));
   EXPECT_TRUE(contains(status.body, "\"done\":8"));
+  // Stats contract, serve flavour: a cold store holds no cell, so the
+  // drains executed every one (precached + executed == total).
+  EXPECT_TRUE(contains(status.body, "\"precached\":0")) << status.body;
+  EXPECT_TRUE(contains(status.body, "\"executed\":8")) << status.body;
   EXPECT_TRUE(contains(status.body, "\"artifacts\":"));
   EXPECT_TRUE(contains(status.body, "\"out.csv\""));
   EXPECT_TRUE(contains(status.body, "\"out.json\""));
@@ -150,7 +143,7 @@ TEST(SweepService, SubmitDrainFetchMatchesDirectRun) {
   // The service's artifacts must be byte-identical to a direct
   // single-process run of the same scenario text — the whole point of
   // draining through the same engine and folding through the same merge.
-  const fs::path ref = scratch_dir("lifecycle_ref");
+  const fs::path ref = scratch_dir("service_lifecycle_ref");
   scenario::ScenarioSpec direct =
       scenario::ScenarioSpec::from_config(util::Config::from_text(kScenarioText));
   direct.csv_path = (ref / "out.csv").string();
@@ -176,7 +169,7 @@ TEST(SweepService, SubmitDrainFetchMatchesDirectRun) {
 }
 
 TEST(SweepService, ConcurrentPollersSeeConsistentProgress) {
-  const fs::path store = scratch_dir("pollers_store");
+  const fs::path store = scratch_dir("service_pollers_store");
   SweepService service(serve_config(store));
 
   const HttpResponse created = service.handle(make_request("POST", "/sweeps", kScenarioText));
@@ -224,7 +217,7 @@ TEST(SweepService, ConcurrentPollersSeeConsistentProgress) {
 }
 
 TEST(SweepService, QueuedSweepCancelsImmediatelyAndGatesArtifacts) {
-  const fs::path store = scratch_dir("cancel_store");
+  const fs::path store = scratch_dir("service_cancel_store");
   SweepService service(serve_config(store));
 
   // One sweep at a time: s2 sits queued behind s1, so DELETE lands
@@ -258,7 +251,7 @@ TEST(SweepService, TinyBudgetNeverBreaksAnInFlightSweep) {
   // the store permanently over budget while the sweep drains — but the
   // in-flight pin set means eviction can never delete a cell the drain
   // has stored, so the sweep still completes with correct artifacts.
-  const fs::path store = scratch_dir("budget_store");
+  const fs::path store = scratch_dir("service_budget_store");
   ServeConfig config = serve_config(store);
   config.store_budget_bytes = 64;  // less than one entry
   config.janitor_interval_s = 0.01;
@@ -271,7 +264,7 @@ TEST(SweepService, TinyBudgetNeverBreaksAnInFlightSweep) {
   const HttpResponse csv = service.handle(make_request("GET", "/sweeps/s1/artifacts/out.csv"));
   ASSERT_EQ(csv.status, 200);
 
-  const fs::path ref = scratch_dir("budget_ref");
+  const fs::path ref = scratch_dir("service_budget_ref");
   scenario::ScenarioSpec direct =
       scenario::ScenarioSpec::from_config(util::Config::from_text(kScenarioText));
   direct.csv_path = (ref / "out.csv").string();
@@ -304,7 +297,7 @@ std::string seed_entry(const scenario::ResultCache& cache, const fs::path& store
 }
 
 TEST(CacheJanitor, EvictsLowestUtilityFirstUntilUnderBudget) {
-  const fs::path store = scratch_dir("janitor_order");
+  const fs::path store = scratch_dir("service_janitor_order");
   const scenario::ResultCache cache(store.string());
   // Utility = touches x wall_ms / bytes; bytes are near-equal here, so
   // the order is: never-touched (0) < cheap-and-touched < dear-and-touched.
@@ -347,7 +340,7 @@ TEST(CacheJanitor, EvictsLowestUtilityFirstUntilUnderBudget) {
 }
 
 TEST(CacheJanitor, PinnedEntriesSurviveEvenOverBudget) {
-  const fs::path store = scratch_dir("janitor_pins");
+  const fs::path store = scratch_dir("service_janitor_pins");
   const scenario::ResultCache cache(store.string());
   const std::string pinned =
       seed_entry(cache, store, "aaaaaaaaaaaaaaaa", "leach_s1_h8_d0", 0.0, 0);
@@ -385,7 +378,7 @@ std::size_t claim_files(const fs::path& cache_dir) {
 }
 
 TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
-  const fs::path cache_dir = scratch_dir("worker_interrupt");
+  const fs::path cache_dir = scratch_dir("service_worker_interrupt");
   scenario::ScenarioSpec spec =
       scenario::ScenarioSpec::from_config(util::Config::from_text(kScenarioText));
   spec.cache_dir = cache_dir.string();
@@ -433,6 +426,41 @@ TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
   const scenario::ScenarioResult merged = scenario::run_scenario(merge);
   EXPECT_EQ(merged.cache_hits, merged.total_jobs);
   EXPECT_EQ(merged.executed_jobs, 0u);
+  fs::remove_all(cache_dir);
+}
+
+TEST(Engine, CancelledCachedRunKeepsEveryFinishedCell) {
+  // The non-worker cached drain (`caem merge`, serve's merge fold)
+  // under cancellation: it still throws SweepCancelled — no partial fold
+  // is rendered — but every cell it finished is already in the store,
+  // so the next run resumes instead of recomputing them.
+  const fs::path cache_dir = scratch_dir("service_cancelled_cached");
+  scenario::ScenarioSpec spec =
+      scenario::ScenarioSpec::from_config(util::Config::from_text(kScenarioText));
+  spec.cache_dir = cache_dir.string();
+  spec.threads = 1;
+  scenario::ProgressSink sink;
+  std::atomic<bool> cancel{false};
+  spec.progress_sink = &sink;
+  spec.cancel = &cancel;
+  std::thread interrupter([&sink, &cancel] {
+    while (sink.executed.load() == 0) std::this_thread::yield();
+    cancel.store(true);
+  });
+  EXPECT_THROW((void)scenario::run_scenario(spec), scenario::SweepCancelled);
+  interrupter.join();
+
+  const std::size_t executed = sink.executed.load();
+  EXPECT_GE(executed, 1u);
+  EXPECT_LT(executed, spec.total_jobs());
+  EXPECT_EQ(scenario::ResultCache(cache_dir.string()).enumerate().size(), executed);
+
+  // Resuming executes only what the cancelled run never finished.
+  spec.progress_sink = nullptr;
+  spec.cancel = nullptr;
+  const scenario::ScenarioResult resumed = scenario::run_scenario(spec);
+  EXPECT_EQ(resumed.cache_hits, executed);
+  EXPECT_EQ(resumed.executed_jobs, spec.total_jobs() - executed);
   fs::remove_all(cache_dir);
 }
 

@@ -72,18 +72,6 @@ TEST(Simulator, StopBreaksRunLoop) {
   EXPECT_EQ(count, 10);
 }
 
-TEST(Simulator, StepExecutesExactlyOne) {
-  Simulator sim;
-  int count = 0;
-  sim.schedule_at(1.0, [&](double) { ++count; });
-  sim.schedule_at(2.0, [&](double) { ++count; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(count, 2);
-}
-
 TEST(Simulator, CancellationThroughHandle) {
   Simulator sim;
   bool ran = false;

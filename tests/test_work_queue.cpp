@@ -12,7 +12,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -24,22 +23,21 @@
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "scenario/shard_manifest.hpp"
+#include "scenario/sweep_manifest.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/work_queue.hpp"
+#include "support/sweep_fixtures.hpp"
 
 namespace caem::scenario {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh scratch dir per test (ctest runs tests concurrently).
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("caem_wq_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using test_support::Artifacts;
+using test_support::battery_spec;
+using test_support::job_paths;
+using test_support::read_file;
+using test_support::render_to;
+using test_support::scratch_dir;
 
 /// ClaimBoard rooted in a fresh claims dir (boards never create it —
 /// the engine does — so tests do it here).
@@ -61,7 +59,7 @@ TEST(ClaimBoard, CtorValidatesInputs) {
 }
 
 TEST(ClaimBoard, AcquirePeekReclaimReleaseRoundTrip) {
-  const fs::path cache = scratch_dir("claim_rt");
+  const fs::path cache = scratch_dir("wq_claim_rt");
   ClaimBoard board = make_board(cache, kSweep, 30.0);
   EXPECT_EQ(board.peek(3), std::nullopt);  // nothing claimed yet
 
@@ -100,7 +98,7 @@ TEST(ClaimBoard, AcquirePeekReclaimReleaseRoundTrip) {
 TEST(ClaimBoard, ContendedAcquireHasExactlyOneWinner) {
   // The tentpole safety property: N workers race to claim ONE cell and
   // exactly one wins — link(2) either creates or fails, never replaces.
-  const fs::path cache = scratch_dir("claim_race");
+  const fs::path cache = scratch_dir("wq_claim_race");
   constexpr std::size_t kRacers = 8;
   std::vector<ClaimBoard> boards;
   boards.reserve(kRacers);
@@ -138,7 +136,7 @@ TEST(ClaimBoard, ContendedAcquireHasExactlyOneWinner) {
 }
 
 TEST(ClaimBoard, StaleClaimIsStolenExactlyOnce) {
-  const fs::path cache = scratch_dir("claim_steal");
+  const fs::path cache = scratch_dir("wq_claim_steal");
   {
     // A "crashed" worker: claims with a 50 ms lease and never refreshes.
     ClaimBoard crashed = make_board(cache, kSweep, 0.05);
@@ -179,7 +177,7 @@ TEST(ClaimBoard, EvictSparesAClaimPublishedSinceItWasJudged) {
   // The steal race, replayed deterministically: a slow stealer read the
   // stale claim, a fast one evicted it and published its own, and only
   // then does the slow one act on what it read.
-  const fs::path cache = scratch_dir("claim_aba");
+  const fs::path cache = scratch_dir("wq_claim_aba");
   {
     ClaimBoard crashed = make_board(cache, kSweep, 0.05);
     ASSERT_EQ(crashed.try_claim(7), ClaimBoard::Claim::kWon);
@@ -203,7 +201,7 @@ TEST(ClaimBoard, EvictSparesAClaimPublishedSinceItWasJudged) {
 }
 
 TEST(ClaimBoard, EvictionLockOfACrashedStealerExpiresAfterALease) {
-  const fs::path cache = scratch_dir("claim_lock");
+  const fs::path cache = scratch_dir("wq_claim_lock");
   {
     ClaimBoard crashed = make_board(cache, kSweep, 0.05);
     ASSERT_EQ(crashed.try_claim(7), ClaimBoard::Claim::kWon);
@@ -234,7 +232,7 @@ TEST(ClaimBoard, EvictionLockOfACrashedStealerExpiresAfterALease) {
 TEST(ClaimBoard, RefreshKeepsALongRunningHolderSafe) {
   // A healthy holder refreshing inside its lease is never stolen from,
   // even when the cell takes many leases to compute.
-  const fs::path cache = scratch_dir("claim_refresh");
+  const fs::path cache = scratch_dir("wq_claim_refresh");
   ClaimBoard holder = make_board(cache, kSweep, 1.0);
   ClaimBoard vulture = make_board(cache, kSweep, 1.0);
   ASSERT_EQ(holder.try_claim(2), ClaimBoard::Claim::kWon);
@@ -266,7 +264,7 @@ TEST(ClaimBoard, FutureDatedClaimBeyondOneLeaseIsStolen) {
   // now_ms() <= epoch_ms + lease forever — so the cell was unstealable
   // until the skewed host itself aged it out.  A stamp more than one
   // lease ahead must read as corrupt/stale and be stolen immediately.
-  const fs::path cache = scratch_dir("claim_future");
+  const fs::path cache = scratch_dir("wq_claim_future");
   ClaimBoard board = make_board(cache, kSweep, 30.0);
   const double lease_s = 0.5;
   write_foreign_claim(board.dir(), kSweep, 9,
@@ -284,7 +282,7 @@ TEST(ClaimBoard, SkewWithinOneLeaseReadsHealthyInBothDirections) {
   // Modest clock skew — under one lease, past or future — must NOT get
   // a healthy holder stolen from: wall clocks across hosts are never
   // perfectly aligned, and the lease is the agreed tolerance.
-  const fs::path cache = scratch_dir("claim_skew_ok");
+  const fs::path cache = scratch_dir("wq_claim_skew_ok");
   ClaimBoard board = make_board(cache, kSweep, 30.0);
   const double lease_s = 60.0;
   // Stamped 20 s in the future (fast host, within one lease): healthy.
@@ -302,7 +300,7 @@ TEST(ClaimBoard, SkewWithinOneLeaseReadsHealthyInBothDirections) {
 }
 
 TEST(ClaimBoard, CorruptClaimIsEvictedNotTrusted) {
-  const fs::path cache = scratch_dir("claim_corrupt");
+  const fs::path cache = scratch_dir("wq_claim_corrupt");
   ClaimBoard board = make_board(cache, kSweep, 30.0);
   const fs::path corrupt = fs::path(board.dir()) / "job_4.claim";
   std::ofstream(corrupt, std::ios::trunc) << "torn half-written gar";
@@ -365,8 +363,8 @@ TEST(CostOrder, DescendingWithTiesTowardLowerId) {
 // ------------------------------------------------------- worker markers
 
 TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
-  const fs::path dir = scratch_dir("worker_marker");
-  const ShardManifest manifest(dir.string(), kSweep);
+  const fs::path dir = scratch_dir("wq_worker_marker");
+  const SweepManifest manifest(dir.string(), kSweep);
   EXPECT_TRUE(manifest.collect_workers().empty());
 
   WorkerMarker marker;
@@ -380,14 +378,8 @@ TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   marker.stored = {2, 5, 6};
   manifest.write_worker_done(marker);
 
-  // A shard marker beside it: the two censuses never mix (the shard_
-  // filename prefix keeps them disjoint).
-  ShardMarker shard;
-  shard.shard = 1;
-  shard.of = 2;
-  shard.total_jobs = 8;
-  shard.stored = {0};
-  manifest.write_done(shard);
+  // A foreign file beside it is never read as a report.
+  std::ofstream(fs::path(manifest.dir()) / "notes.txt", std::ios::trunc) << "token = x\n";
 
   const auto workers = manifest.collect_workers();
   ASSERT_EQ(workers.size(), 1u);
@@ -399,8 +391,6 @@ TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   EXPECT_EQ(workers[0].stolen, 1u);
   EXPECT_EQ(workers[0].wall_ms, 1234.5);
   EXPECT_EQ(workers[0].stored, (std::vector<std::size_t>{2, 5, 6}));
-  ASSERT_EQ(manifest.collect().size(), 1u);
-  EXPECT_EQ(manifest.collect()[0].shard, 1u);
 
   // The ':' characters never reach the filesystem name.
   EXPECT_EQ(manifest.worker_marker_path(marker.token).find(':'), std::string::npos);
@@ -416,90 +406,18 @@ TEST(Manifest, WorkerMarkerRoundTripAndDisjointCensus) {
   fs::remove_all(dir);
 }
 
-// --------------------------------------------------- engine battery prep
-
-ScenarioSpec battery_spec() {
-  ScenarioSpec spec;
-  spec.name = "workerbat";
-  spec.base_config.node_count = 10;
-  spec.base_config.field_size_m = 40.0;
-  spec.base_config.ch_fraction = 0.2;
-  spec.base_config.round_duration_s = 5.0;
-  spec.base_seed = 42;
-  spec.replications = 2;
-  spec.options.max_sim_s = 8.0;
-  spec.threads = 1;
-  spec.protocols = {core::protocol_from_string("leach"), core::protocol_from_string("scheme2")};
-  spec.axes = {Axis{"traffic_rate_pps", {"3", "6"}}};
-  return spec;  // 2 points x 2 protocols x 2 reps = 8 jobs
-}
-
-/// Entry path of every flattened job, in job order.
-std::vector<std::string> job_paths(const ScenarioSpec& spec, const ResultCache& cache) {
-  const std::vector<GridPoint> grid = expand_grid(spec.axes);
-  std::vector<std::string> paths(spec.total_jobs());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const JobCoords c = job_coords(spec, i);
-    paths[i] = cache.entry_path(spec.config_at(grid[c.point]), spec.protocols[c.protocol],
-                                spec.base_seed + c.rep, spec.options);
-  }
-  return paths;
-}
-
-/// The sweep digest of the spec's flattened job list.
-std::string digest_of(const ScenarioSpec& spec, const ResultCache& cache) {
-  const std::vector<GridPoint> grid = expand_grid(spec.axes);
-  std::vector<std::string> keys(spec.total_jobs());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const JobCoords c = job_coords(spec, i);
-    keys[i] = cache.entry_key(spec.config_at(grid[c.point]), spec.protocols[c.protocol],
-                              spec.base_seed + c.rep, spec.options);
-  }
-  return sweep_digest(keys);
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-struct Artifacts {
-  std::string csv;
-  std::string json;
-  std::map<std::string, std::string> traces;  ///< filename -> bytes
-};
-
-/// Render CSV + JSON + trace artifacts of `result` into `dir`.
-Artifacts render_to(const ScenarioResult& result, ScenarioSpec spec, const fs::path& dir) {
-  spec.csv_path = (dir / "out.csv").string();
-  spec.json_path = (dir / "out.json").string();
-  spec.trace_dir = (dir / "traces").string();
-  spec.trace_points = 9;
-  std::ostringstream log;
-  write_outputs(result, spec, log);
-  Artifacts artifacts;
-  artifacts.csv = read_file(spec.csv_path);
-  artifacts.json = read_file(spec.json_path);
-  for (const auto& entry : fs::directory_iterator(spec.trace_dir)) {
-    artifacts.traces[entry.path().filename().string()] = read_file(entry.path());
-  }
-  return artifacts;
-}
-
 // ----------------------------------------------- equivalence battery
 
 TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
-  const ScenarioSpec spec = battery_spec();
+  const ScenarioSpec spec = battery_spec("workerbat");
 
   // Reference: one uncached single-process run — dynamic claiming must
   // reproduce pure in-memory compute exactly.
-  const fs::path ref_dir = scratch_dir("worker_ref");
+  const fs::path ref_dir = scratch_dir("wq_worker_ref");
   const ScenarioResult reference = run_scenario(spec);
   const Artifacts ref = render_to(reference, spec, ref_dir);
 
-  const fs::path cache_dir = scratch_dir("worker_cache");
+  const fs::path cache_dir = scratch_dir("wq_worker_cache");
   constexpr std::size_t kWorkers = 3;
   std::vector<ScenarioResult> results(kWorkers);
   std::vector<std::thread> workers;
@@ -529,7 +447,7 @@ TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
     EXPECT_EQ(result.claims_stolen, 0u);  // nobody crashed: no steals
     EXPECT_TRUE(fs::exists(result.marker_path));
     executed_total += result.executed_jobs;
-    const auto markers = ShardManifest(cache_dir.string(), result.sweep_digest).collect_workers();
+    const auto markers = SweepManifest(cache_dir.string(), result.sweep_digest).collect_workers();
     const auto mine = std::find_if(markers.begin(), markers.end(), [&](const WorkerMarker& m) {
       return m.token == result.worker_token;
     });
@@ -552,9 +470,11 @@ TEST(Worker, ConcurrentWorkersPlusMergeMatchSingleProcessByteForByte) {
   merge.merge_shards = true;
   const ScenarioResult merged = run_scenario(merge);
   EXPECT_EQ(merged.executed_jobs, 0u);
+  EXPECT_EQ(merged.cache_misses, 0u);
   EXPECT_EQ(merged.cache_hits, spec.total_jobs());
+  EXPECT_EQ(merged.cache_hits + merged.executed_jobs, merged.total_jobs);
   ASSERT_EQ(merged.workers.size(), kWorkers);
-  const fs::path merged_dir = scratch_dir("worker_merged");
+  const fs::path merged_dir = scratch_dir("wq_worker_merged");
   const Artifacts out = render_to(merged, spec, merged_dir);
   EXPECT_EQ(out.csv, ref.csv);
   EXPECT_EQ(out.json, ref.json);
@@ -573,8 +493,8 @@ TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
   // UNSTORED cell (job 5: killed mid-execute).  A fresh worker must
   // treat job 1 as done — completion comes from the cache, never from
   // claims — and steal job 5's corpse exactly once.
-  const ScenarioSpec spec = battery_spec();
-  const fs::path cache_dir = scratch_dir("worker_crash");
+  const ScenarioSpec spec = battery_spec("workerbat");
+  const fs::path cache_dir = scratch_dir("wq_worker_crash");
   {
     ScenarioSpec prewarm = spec;
     prewarm.axes = {Axis{"traffic_rate_pps", {"3"}}};
@@ -587,7 +507,7 @@ TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
   ASSERT_FALSE(cache.load(paths[5]).has_value());
   const std::string half_stored_bytes = read_file(paths[1]);
 
-  const std::string digest = digest_of(spec, cache);
+  const std::string digest = sweep_digest(job_keys(spec));
   const fs::path claims = fs::path(cache_dir) / "sweeps" / digest / "claims";
   fs::create_directories(claims);
   for (const std::size_t job : {std::size_t{1}, std::size_t{5}}) {
@@ -619,7 +539,7 @@ TEST(Worker, HalfStoredCellsAreSkippedAndStaleClaimsStolenExactlyOnce) {
 // ---------------------------------------------------- progress + guards
 
 TEST(Progress, PeriodicReportReachesTheInjectedStream) {
-  ScenarioSpec spec = battery_spec();
+  ScenarioSpec spec = battery_spec("workerbat");
   std::ostringstream progress;
   spec.progress_s = 0.001;  // fire effectively every drained cell
   spec.progress_stream = &progress;
@@ -632,28 +552,20 @@ TEST(Progress, PeriodicReportReachesTheInjectedStream) {
 
 TEST(Worker, ValidationSurface) {
   {  // worker mode without a cache has no coordination substrate
-    ScenarioSpec spec = battery_spec();
+    ScenarioSpec spec = battery_spec("workerbat");
     spec.worker_mode = true;
-    EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
-  }
-  {  // static partition and dynamic claiming are mutually exclusive
-    ScenarioSpec spec = battery_spec();
-    spec.cache_dir = scratch_dir("worker_val_shard").string();
-    spec.worker_mode = true;
-    spec.shard_index = 1;
-    spec.shard_count = 2;
     EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
   }
   {  // a worker never folds; merging is the folder's job
-    ScenarioSpec spec = battery_spec();
-    spec.cache_dir = scratch_dir("worker_val_merge").string();
+    ScenarioSpec spec = battery_spec("workerbat");
+    spec.cache_dir = scratch_dir("wq_worker_val_merge").string();
     spec.worker_mode = true;
     spec.merge_shards = true;
     EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
   }
   {  // a non-positive lease would make every claim instantly stale
-    ScenarioSpec spec = battery_spec();
-    spec.cache_dir = scratch_dir("worker_val_lease").string();
+    ScenarioSpec spec = battery_spec("workerbat");
+    spec.cache_dir = scratch_dir("wq_worker_val_lease").string();
     spec.worker_mode = true;
     spec.lease_s = 0.0;
     EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
@@ -668,8 +580,8 @@ TEST(Cache, StoredEntriesCarryExecutionStamps) {
   // census.  The stamps ride the CACHE entry only; in-memory results
   // stay pure SimulationRunner output (the serialized-identity
   // contract).
-  const ScenarioSpec base = battery_spec();
-  const fs::path cache_dir = scratch_dir("provenance");
+  const ScenarioSpec base = battery_spec("workerbat");
+  const fs::path cache_dir = scratch_dir("wq_provenance");
   ScenarioSpec spec = base;
   spec.cache_dir = cache_dir.string();
   (void)run_scenario(spec);
