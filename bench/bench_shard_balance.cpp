@@ -14,8 +14,10 @@
 // CPU-bound workers cannot show balance in wall time — total CPU work
 // dominates.  Instead:
 //
-//   1. every cell is executed once, uncontended and single-threaded,
-//      recording its measured cost (and the reference artifacts);
+//   1. every cell is executed three times, uncontended and
+//      single-threaded; its measured cost is the median of the three
+//      (a single timing pass let host noise swing the ratio across the
+//      threshold), and a further run renders the reference artifacts;
 //   2. static makespan  = max over the 4 residue classes (job index
 //      mod 4) of their cells' summed measured cost (exact: the static
 //      partition is a pure function of job index);
@@ -139,16 +141,27 @@ int main(int argc, char** argv) {
   std::printf("skewed sweep: %zu cell(s) (1 heavy + %zu light), %zu worker(s)\n", jobs,
               jobs - 1, workers);
 
-  // -- 1. uncontended reference pass: per-cell measured costs + the
-  //       byte-identity reference artifacts --
+  // -- 1. uncontended reference passes: per-cell measured costs (the
+  //       median of kCostPasses timings, so one noisy pass cannot move
+  //       the ratio) + the byte-identity reference artifacts --
+  constexpr std::size_t kCostPasses = 3;
+  std::vector<std::vector<double>> samples_ms(jobs);
+  for (std::size_t pass = 0; pass < kCostPasses; ++pass) {
+    for (std::size_t i = 0; i < jobs; ++i) {
+      const core::NetworkConfig config = base.config_at(grid[i]);
+      const auto t0 = std::chrono::steady_clock::now();
+      (void)core::SimulationRunner::run(config, base.protocols[0], base.base_seed, base.options);
+      samples_ms[i].push_back(
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+              .count());
+    }
+  }
   std::vector<double> cost_ms(jobs, 0.0);
   double total_ms = 0.0;
   for (std::size_t i = 0; i < jobs; ++i) {
-    const core::NetworkConfig config = base.config_at(grid[i]);
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)core::SimulationRunner::run(config, base.protocols[0], base.base_seed, base.options);
-    cost_ms[i] =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    std::vector<double>& samples = samples_ms[i];
+    std::nth_element(samples.begin(), samples.begin() + kCostPasses / 2, samples.end());
+    cost_ms[i] = samples[kCostPasses / 2];
     total_ms += cost_ms[i];
   }
   scenario::ScenarioSpec ref_spec = base;

@@ -4,6 +4,7 @@
 //   caem merge <scenario.scn> [flags] [key=value ...]   complete + fold a distributed sweep
 //   caem expand <scenario.scn> [key=value ...]          print the grid, run nothing
 //   caem protocols                                      list the protocol registry
+//   caem knobs                                          list the NetworkConfig knobs
 //   caem serve serve.store_dir=<dir> [serve.* ...]      long-running sweep service
 //   caem submit <scenario.scn> [--wait] [key=value ...] POST a sweep to the service
 //   caem status [--port|--store] [<id>]                 sweep progress / service stats
@@ -41,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/protocol.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/scenario_spec.hpp"
@@ -78,6 +80,7 @@ int usage(std::ostream& out, int exit_code) {
          "  caem expand <scenario.scn> [key=value ...]       show grid points without running\n"
          "  caem protocols      list registered protocols (scenario.protocols accepts any\n"
          "                      name or alias shown there)\n"
+         "  caem knobs          list the config knobs: key, kind, default, valid values\n"
          "  caem serve serve.store_dir=<dir> [serve.port=0] [serve.store_budget_bytes=N]\n"
          "             [serve.workers=K] [serve.lease_s=S] [serve.janitor_interval_s=S]\n"
          "                      long-running sweep service on 127.0.0.1 (port 0 = pick one);\n"
@@ -306,6 +309,22 @@ int protocols_command() {
   table.render(std::cout);
   std::cout << "\nscenario files select protocols by name, e.g. scenario.protocols = "
                "leach,direct,static-cluster\n";
+  return 0;
+}
+
+int knobs_command() {
+  caem::core::NetworkConfig defaults;  // field() hands out writable members
+  caem::util::TableWriter table({"key", "hashed_as", "kind", "default", "range", "block"});
+  for (const caem::core::Knob& knob : caem::core::knobs()) {
+    table.new_row()
+        .cell(knob.override_key())
+        .cell(knob.alias != nullptr ? knob.key : "-")
+        .cell(caem::core::kKnobKindNames[knob.field(defaults).index()])
+        .cell(knob.text(defaults))
+        .cell(knob.range_text())
+        .cell(knob.routing_block ? "routing" : "always");
+  }
+  table.render(std::cout);
   return 0;
 }
 
@@ -570,16 +589,16 @@ int main(int argc, char** argv) {
     return usage(std::cout, 0);
   }
   if (command != "run" && command != "merge" && command != "expand" &&
-      command != "protocols" && command != "serve" && command != "submit" &&
-      command != "status" && command != "fetch") {
+      command != "protocols" && command != "knobs" && command != "serve" &&
+      command != "submit" && command != "status" && command != "fetch") {
     return usage(std::cerr, 2);
   }
-  if (command == "protocols") {
+  if (command == "protocols" || command == "knobs") {
     if (argc > 2) {
-      std::cerr << "caem protocols: takes no arguments\n";
+      std::cerr << "caem " << command << ": takes no arguments\n";
       return 2;
     }
-    return protocols_command();
+    return command == "knobs" ? knobs_command() : protocols_command();
   }
   if ((command == "run" || command == "merge" || command == "expand" ||
        command == "submit") &&

@@ -40,18 +40,14 @@ constexpr std::size_t kInitialTableSize = 64;           // power of two
 }  // namespace
 
 const char* to_string(FadingKind kind) noexcept {
-  switch (kind) {
-    case FadingKind::kJakesRayleigh: return "jakes";
-    case FadingKind::kRician: return "rician";
-    case FadingKind::kBlock: return "block";
-  }
-  return "?";
+  return kFadingKindNames[static_cast<int>(kind)];
 }
 
 FadingKind fading_kind_from_string(const std::string& name) {
-  if (name == "jakes" || name == "jakes-rayleigh") return FadingKind::kJakesRayleigh;
-  if (name == "rician") return FadingKind::kRician;
-  if (name == "block") return FadingKind::kBlock;
+  if (name == "jakes-rayleigh") return FadingKind::kJakesRayleigh;
+  for (std::size_t kind = 0; kind < std::size(kFadingKindNames); ++kind) {
+    if (name == kFadingKindNames[kind]) return static_cast<FadingKind>(kind);
+  }
   throw std::invalid_argument("unknown fading kind '" + name +
                               "' (expected jakes, rician or block)");
 }

@@ -41,6 +41,7 @@ using NodeId = std::uint32_t;
 
 /// Fading model families selectable per run (ablation C).
 enum class FadingKind { kJakesRayleigh, kRician, kBlock };
+inline constexpr const char* kFadingKindNames[] = {"jakes", "rician", "block"};
 
 [[nodiscard]] const char* to_string(FadingKind kind) noexcept;
 

@@ -1,8 +1,9 @@
 #include "core/config.hpp"
 
-#include <locale>
-#include <sstream>
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/digest.hpp"
 #include "util/table_writer.hpp"
@@ -36,57 +37,140 @@ channel::LinkBudget NetworkConfig::link_budget() const noexcept {
       tx_power_dbm, channel::noise_floor_dbm(noise_bandwidth_hz, rx_noise_figure_db)};
 }
 
+namespace {
+
+constexpr double kU32Max = 4294967295.0;
+
+constexpr const char* kFlagValues[] = {"0", "1"};
+constexpr const char* kTrafficKinds[] = {"poisson", "cbr", "burst"};
+constexpr const char* kMobilityKinds[] = {"static", "waypoint"};
+constexpr const char* kRoutingKinds[] = {"direct", "greedy", "chain"};
+
+// The member path, stringised, is the canonical key.
+#define CAEM_KNOB(path, ...)                                                              \
+  Knob {                                                                                  \
+    .key = #path, .field = [](NetworkConfig& c) -> KnobField { return &c.path; }, __VA_ARGS__ \
+  }
+
+// Canonical order: reordering or renaming a row changes every digest.
+constexpr Knob kKnobs[] = {
+    CAEM_KNOB(node_count, .lo = 2),
+    CAEM_KNOB(field_size_m, .lo = 0, .lo_open = true),
+    CAEM_KNOB(ch_fraction, .lo = 0, .hi = 1, .lo_open = true),
+    CAEM_KNOB(round_duration_s, .lo = 0, .lo_open = true),
+    CAEM_KNOB(traffic_rate_pps, .lo = 0, .lo_open = true),
+    CAEM_KNOB(traffic_kind, .choices = kTrafficKinds),
+    CAEM_KNOB(packet_bits, .lo = 0, .lo_open = true),
+    CAEM_KNOB(buffer_capacity, .lo = 1),
+    CAEM_KNOB(sample_every_m, .lo = 1, .hi = kU32Max),
+    CAEM_KNOB(arm_queue_length, .lo = 0),
+    CAEM_KNOB(backoff.slot_s, .alias = "backoff_slot_s", .lo = 0),
+    CAEM_KNOB(backoff.cw, .alias = "backoff_cw", .lo = 0, .hi = kU32Max),
+    CAEM_KNOB(backoff.max_retries, .alias = "backoff_max_retries", .lo = 0, .hi = kU32Max),
+    CAEM_KNOB(burst.min_packets, .alias = "burst_min", .lo = 1),
+    CAEM_KNOB(burst.max_packets, .alias = "burst_max", .lo = 1),
+    CAEM_KNOB(burst.hold_timeout_s, .alias = "burst_hold_s", .lo = 0),
+    CAEM_KNOB(check_interval_s, .lo = 0, .lo_open = true),
+    CAEM_KNOB(detect_delay_s, .lo = 0),
+    CAEM_KNOB(sensing_delay_s, .lo = 0),
+    CAEM_KNOB(tone_classify_delay_s, .lo = 0),
+    CAEM_KNOB(csi_noise_db, .lo = 0),
+    CAEM_KNOB(channel.path_loss_exponent, .lo = 0, .lo_open = true),
+    CAEM_KNOB(channel.path_loss_ref_db),
+    CAEM_KNOB(channel.shadowing_sigma_db, .lo = 0),
+    CAEM_KNOB(channel.shadowing_tau_s, .lo = 0, .lo_open = true),
+    CAEM_KNOB(channel.doppler_hz, .lo = 0, .lo_open = true),
+    CAEM_KNOB(channel.fading_kind, .choices = channel::kFadingKindNames),
+    CAEM_KNOB(channel.rician_k, .lo = 0),
+    CAEM_KNOB(channel.jakes_oscillators, .lo = 1, .hi = 4096),
+    CAEM_KNOB(channel.snr_cache_enabled, .choices = kFlagValues),
+    CAEM_KNOB(channel.radio_range_m, .lo = 0),  // 0 = unlimited
+    CAEM_KNOB(channel.spatial_bin_m),  // 0 = auto, < 0 = brute force
+    CAEM_KNOB(mobility_kind, .choices = kMobilityKinds),
+    CAEM_KNOB(mobility_max_speed_mps),
+    CAEM_KNOB(mobility_pause_s, .lo = 0),
+    CAEM_KNOB(tx_power_dbm),
+    CAEM_KNOB(rx_noise_figure_db),
+    CAEM_KNOB(noise_bandwidth_hz, .lo = 0, .lo_open = true),
+    CAEM_KNOB(header_bits, .lo = 0),
+    CAEM_KNOB(preamble_s, .lo = 0),
+    CAEM_KNOB(initial_energy_j, .lo = 0, .lo_open = true),
+    CAEM_KNOB(data_tx_w, .lo = 0),
+    CAEM_KNOB(data_rx_w, .lo = 0),
+    CAEM_KNOB(data_idle_w, .lo = 0),
+    CAEM_KNOB(data_sleep_w, .lo = 0),
+    CAEM_KNOB(data_startup_s, .lo = 0),
+    CAEM_KNOB(tone_tx_w, .lo = 0),
+    CAEM_KNOB(tone_rx_w, .lo = 0),
+    CAEM_KNOB(tone_monitor_duty, .lo = 0, .hi = 1, .lo_open = true),
+    CAEM_KNOB(tone_sleep_w, .lo = 0),
+    CAEM_KNOB(tone_startup_s, .lo = 0),
+    CAEM_KNOB(ch_forward_enabled, .choices = kFlagValues),
+    CAEM_KNOB(bs_distance_m, .lo = 0, .lo_open = true),
+    CAEM_KNOB(fwd_e_elec_j_per_bit, .lo = 0),
+    CAEM_KNOB(fwd_eps_amp_j_per_bit_m2, .lo = 0),
+    CAEM_KNOB(aggregation_ratio, .lo = 0, .hi = 1),
+    CAEM_KNOB(csi_gate_deadline_s, .lo = 0),
+    CAEM_KNOB(dead_fraction, .lo = 0, .hi = 1, .lo_open = true),
+    CAEM_KNOB(energy_snapshot_interval_s, .lo = 0, .lo_open = true),
+    CAEM_KNOB(queue_snapshot_interval_s, .lo = 0, .lo_open = true),
+    CAEM_KNOB(routing.kind, .choices = kRoutingKinds, .routing_block = true),
+    CAEM_KNOB(routing.max_hops, .lo = 1, .hi = kU32Max, .routing_block = true),
+    CAEM_KNOB(routing.relay_rx_j_per_bit, .lo = 0, .routing_block = true),
+    CAEM_KNOB(routing.sink_x_m, .routing_block = true),
+    CAEM_KNOB(routing.sink_y_m, .routing_block = true),
+};
+
+[[noreturn]] void reject(const Knob& knob, const std::string& value) {
+  throw std::invalid_argument(std::string("config: ") + knob.override_key() + " must be in " +
+                              knob.range_text() + " (got '" + value + "')");
+}
+
+std::string show(double value) { return util::format_full(value); }
+std::string show(bool value) { return value ? "1" : "0"; }
+std::string show(const std::string& value) { return value; }
+std::string show(channel::FadingKind value) { return channel::to_string(value); }
+template <class Count>  // std::size_t or std::uint32_t
+std::string show(Count value) { return std::to_string(value); }
+
+}  // namespace
+
+std::span<const Knob> knobs() noexcept { return kKnobs; }
+
+std::string Knob::text(const NetworkConfig& config) const {
+  return std::visit([](auto* value) { return show(*value); },
+                    field(const_cast<NetworkConfig&>(config)));  // read only
+}
+
+std::string Knob::range_text() const {
+  if (!choices.empty()) {
+    std::string set;
+    for (const char* choice : choices) set += (set.empty() ? "{" : ", ") + std::string(choice);
+    return set + "}";
+  }
+  return (lo_open || std::isinf(lo) ? "(" : "[") + util::format_full(lo) + ", " +
+         util::format_full(hi) + (std::isinf(hi) ? ")" : "]");
+}
+
 void NetworkConfig::validate() const {
-  if (node_count < 2) throw std::invalid_argument("config: need at least 2 nodes");
-  if (field_size_m <= 0.0) throw std::invalid_argument("config: field size must be > 0");
-  if (ch_fraction <= 0.0 || ch_fraction > 1.0) {
-    throw std::invalid_argument("config: ch_fraction must be in (0,1]");
+  for (const Knob& knob : knobs()) {
+    std::visit(
+        [&](auto* value) {
+          using T = std::remove_pointer_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            if (std::ranges::find(knob.choices, *value) == knob.choices.end()) reject(knob, *value);
+          } else if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+            if (!knob.contains(static_cast<double>(*value))) reject(knob, knob.text(*this));
+          }
+        },
+        knob.field(const_cast<NetworkConfig&>(*this)));  // read only
   }
-  if (round_duration_s <= 0.0) throw std::invalid_argument("config: round duration must be > 0");
-  if (traffic_rate_pps <= 0.0) throw std::invalid_argument("config: traffic rate must be > 0");
-  if (packet_bits <= 0.0) throw std::invalid_argument("config: packet bits must be > 0");
-  if (buffer_capacity == 0) throw std::invalid_argument("config: buffer capacity must be >= 1");
-  if (sample_every_m == 0) throw std::invalid_argument("config: sampling m must be >= 1");
-  if (burst.min_packets == 0 || burst.max_packets < burst.min_packets) {
-    throw std::invalid_argument("config: bad burst policy");
+  // Cross-field checks; each knob's own range is the table's.
+  if (burst.max_packets < burst.min_packets) {
+    throw std::invalid_argument("config: burst_max must be >= burst_min");
   }
-  if (initial_energy_j <= 0.0) throw std::invalid_argument("config: initial energy must be > 0");
-  if (dead_fraction <= 0.0 || dead_fraction > 1.0) {
-    throw std::invalid_argument("config: dead_fraction must be in (0,1]");
-  }
-  if (tone_monitor_duty <= 0.0 || tone_monitor_duty > 1.0) {
-    throw std::invalid_argument("config: tone_monitor_duty must be in (0,1]");
-  }
-  if (check_interval_s <= 0.0 || detect_delay_s < 0.0 || sensing_delay_s < 0.0) {
-    throw std::invalid_argument("config: bad MAC timing");
-  }
-  if (bs_distance_m <= 0.0 || aggregation_ratio < 0.0 || aggregation_ratio > 1.0) {
-    throw std::invalid_argument("config: bad forwarding parameters");
-  }
-  if (csi_gate_deadline_s < 0.0) {
-    throw std::invalid_argument("config: negative CSI-gate deadline");
-  }
-  if (channel.jakes_oscillators == 0 || channel.jakes_oscillators > 4096) {
-    // Also catches negative overrides, which wrap far past 4096.
-    throw std::invalid_argument("config: channel.jakes_oscillators must be in [1, 4096]");
-  }
-  if (mobility_kind != "static" && mobility_kind != "waypoint") {
-    throw std::invalid_argument("config: mobility_kind must be 'static' or 'waypoint'");
-  }
-  if (mobility_kind == "waypoint" && mobility_max_speed_mps <= 0.0) {
-    throw std::invalid_argument("config: mobility speed must be > 0");
-  }
-  if (channel.radio_range_m < 0.0) {
-    throw std::invalid_argument("config: channel.radio_range_m must be >= 0 (0 = unlimited)");
-  }
-  if (routing.kind != "direct" && routing.kind != "greedy" && routing.kind != "chain") {
-    throw std::invalid_argument("config: routing.kind must be 'direct', 'greedy' or 'chain'");
-  }
-  if (routing.max_hops == 0) {
-    throw std::invalid_argument("config: routing.max_hops must be >= 1");
-  }
-  if (routing.relay_rx_j_per_bit < 0.0) {
-    throw std::invalid_argument("config: routing.relay_rx_j_per_bit must be >= 0");
+  if (mobility_kind == "waypoint" && !(mobility_max_speed_mps > 0.0)) {
+    throw std::invalid_argument("config: waypoint mobility needs mobility_max_speed_mps > 0");
   }
   if ((routing.sink_x_m >= 0.0) != (routing.sink_y_m >= 0.0)) {
     throw std::invalid_argument(
@@ -103,108 +187,35 @@ void NetworkConfig::validate() const {
 }
 
 void NetworkConfig::apply_overrides(const util::Config& overrides) {
-  node_count = static_cast<std::size_t>(
-      overrides.get_int("node_count", static_cast<long long>(node_count)));
-  field_size_m = overrides.get_double("field_size_m", field_size_m);
-  ch_fraction = overrides.get_double("ch_fraction", ch_fraction);
-  round_duration_s = overrides.get_double("round_duration_s", round_duration_s);
-  traffic_rate_pps = overrides.get_double("traffic_rate_pps", traffic_rate_pps);
-  traffic_kind = overrides.get_string("traffic_kind", traffic_kind);
-  packet_bits = overrides.get_double("packet_bits", packet_bits);
-  buffer_capacity = static_cast<std::size_t>(
-      overrides.get_int("buffer_capacity", static_cast<long long>(buffer_capacity)));
-  sample_every_m = static_cast<std::uint32_t>(
-      overrides.get_int("sample_every_m", sample_every_m));
-  arm_queue_length = static_cast<std::size_t>(
-      overrides.get_int("arm_queue_length", static_cast<long long>(arm_queue_length)));
-  burst.min_packets = static_cast<std::size_t>(
-      overrides.get_int("burst_min", static_cast<long long>(burst.min_packets)));
-  burst.max_packets = static_cast<std::size_t>(
-      overrides.get_int("burst_max", static_cast<long long>(burst.max_packets)));
-  burst.hold_timeout_s = overrides.get_double("burst_hold_s", burst.hold_timeout_s);
-  backoff.cw = static_cast<std::uint32_t>(overrides.get_int("backoff_cw", backoff.cw));
-  backoff.slot_s = overrides.get_double("backoff_slot_s", backoff.slot_s);
-  backoff.max_retries =
-      static_cast<std::uint32_t>(overrides.get_int("backoff_max_retries", backoff.max_retries));
-  check_interval_s = overrides.get_double("check_interval_s", check_interval_s);
-  detect_delay_s = overrides.get_double("detect_delay_s", detect_delay_s);
-  sensing_delay_s = overrides.get_double("sensing_delay_s", sensing_delay_s);
-  tone_classify_delay_s = overrides.get_double("tone_classify_delay_s", tone_classify_delay_s);
-  csi_noise_db = overrides.get_double("csi_noise_db", csi_noise_db);
-  channel.doppler_hz = overrides.get_double("channel.doppler_hz", channel.doppler_hz);
-  channel.shadowing_sigma_db =
-      overrides.get_double("channel.shadowing_sigma_db", channel.shadowing_sigma_db);
-  channel.shadowing_tau_s = overrides.get_double("channel.shadowing_tau_s", channel.shadowing_tau_s);
-  channel.path_loss_exponent =
-      overrides.get_double("channel.path_loss_exponent", channel.path_loss_exponent);
-  channel.path_loss_ref_db =
-      overrides.get_double("channel.path_loss_ref_db", channel.path_loss_ref_db);
-  channel.rician_k = overrides.get_double("channel.rician_k", channel.rician_k);
-  channel.fading_kind = channel::fading_kind_from_string(overrides.get_string(
-      "channel.fading_kind", channel::to_string(channel.fading_kind)));
-  channel.jakes_oscillators = static_cast<std::size_t>(overrides.get_int(
-      "channel.jakes_oscillators", static_cast<long long>(channel.jakes_oscillators)));
-  channel.snr_cache_enabled =
-      overrides.get_bool("channel.snr_cache_enabled", channel.snr_cache_enabled);
-  channel.radio_range_m = overrides.get_double("channel.radio_range_m", channel.radio_range_m);
-  channel.spatial_bin_m = overrides.get_double("channel.spatial_bin_m", channel.spatial_bin_m);
-  tx_power_dbm = overrides.get_double("tx_power_dbm", tx_power_dbm);
-  rx_noise_figure_db = overrides.get_double("rx_noise_figure_db", rx_noise_figure_db);
-  noise_bandwidth_hz = overrides.get_double("noise_bandwidth_hz", noise_bandwidth_hz);
-  header_bits = overrides.get_double("header_bits", header_bits);
-  preamble_s = overrides.get_double("preamble_s", preamble_s);
-  initial_energy_j = overrides.get_double("initial_energy_j", initial_energy_j);
-  data_tx_w = overrides.get_double("data_tx_w", data_tx_w);
-  data_rx_w = overrides.get_double("data_rx_w", data_rx_w);
-  data_idle_w = overrides.get_double("data_idle_w", data_idle_w);
-  data_sleep_w = overrides.get_double("data_sleep_w", data_sleep_w);
-  data_startup_s = overrides.get_double("data_startup_s", data_startup_s);
-  tone_tx_w = overrides.get_double("tone_tx_w", tone_tx_w);
-  tone_rx_w = overrides.get_double("tone_rx_w", tone_rx_w);
-  tone_sleep_w = overrides.get_double("tone_sleep_w", tone_sleep_w);
-  tone_startup_s = overrides.get_double("tone_startup_s", tone_startup_s);
-  tone_monitor_duty = overrides.get_double("tone_monitor_duty", tone_monitor_duty);
-  dead_fraction = overrides.get_double("dead_fraction", dead_fraction);
-  energy_snapshot_interval_s =
-      overrides.get_double("energy_snapshot_interval_s", energy_snapshot_interval_s);
-  queue_snapshot_interval_s =
-      overrides.get_double("queue_snapshot_interval_s", queue_snapshot_interval_s);
-  mobility_kind = overrides.get_string("mobility_kind", mobility_kind);
-  mobility_max_speed_mps = overrides.get_double("mobility_max_speed_mps", mobility_max_speed_mps);
-  mobility_pause_s = overrides.get_double("mobility_pause_s", mobility_pause_s);
-  ch_forward_enabled = overrides.get_bool("ch_forward_enabled", ch_forward_enabled);
-  bs_distance_m = overrides.get_double("bs_distance_m", bs_distance_m);
-  fwd_e_elec_j_per_bit = overrides.get_double("fwd_e_elec_j_per_bit", fwd_e_elec_j_per_bit);
-  fwd_eps_amp_j_per_bit_m2 =
-      overrides.get_double("fwd_eps_amp_j_per_bit_m2", fwd_eps_amp_j_per_bit_m2);
-  aggregation_ratio = overrides.get_double("aggregation_ratio", aggregation_ratio);
-  csi_gate_deadline_s = overrides.get_double("csi_gate_deadline_s", csi_gate_deadline_s);
-  routing.kind = overrides.get_string("routing.kind", routing.kind);
-  routing.max_hops =
-      static_cast<std::uint32_t>(overrides.get_int("routing.max_hops", routing.max_hops));
-  routing.relay_rx_j_per_bit =
-      overrides.get_double("routing.relay_rx_j_per_bit", routing.relay_rx_j_per_bit);
-  routing.sink_x_m = overrides.get_double("routing.sink_x_m", routing.sink_x_m);
-  routing.sink_y_m = overrides.get_double("routing.sink_y_m", routing.sink_y_m);
+  for (const Knob& knob : knobs()) {
+    const std::string key = knob.override_key();
+    std::visit(
+        [&](auto* value) {
+          using T = std::remove_pointer_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, double>) {
+            *value = overrides.get_double(key, *value);
+          } else if constexpr (std::is_same_v<T, bool>) {
+            *value = overrides.get_bool(key, *value);
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            *value = overrides.get_string(key, *value);
+          } else if constexpr (std::is_same_v<T, channel::FadingKind>) {
+            *value = channel::fading_kind_from_string(
+                overrides.get_string(key, channel::to_string(*value)));
+          } else {
+            // Checked while still signed, so -1 cannot wrap into a valid count.
+            const long long raw = overrides.get_int(key, static_cast<long long>(*value));
+            if (!knob.contains(static_cast<double>(raw))) reject(knob, std::to_string(raw));
+            *value = static_cast<T>(raw);
+          }
+        },
+        knob.field(*this));
+  }
   validate();
 }
 
 std::string NetworkConfig::canonical_text() const {
-  std::ostringstream out;
-  // Classic locale: the canonical text feeds the config digest, which
-  // must be byte-stable under any global locale (all numbers already go
-  // through format_full/to_string, this pins the stream itself).
-  out.imbue(std::locale::classic());
-  const auto put = [&out](const char* key, const std::string& value) {
-    out << key << '=' << value << '\n';
-  };
-  const auto put_d = [&put](const char* key, double value) {
-    put(key, util::format_full(value));
-  };
-  const auto put_u = [&put](const char* key, std::uint64_t value) {
-    put(key, std::to_string(value));
-  };
-  // Version header: bump when a field is added/removed/renamed so stale
+  const bool routed = routing != UplinkRoutingConfig{};
+  // Version header: bump when a knob is added/removed/renamed so stale
   // cache entries from older layouts can never alias a new config.
   //
   // The routing block is conditional: all-default routing knobs render
@@ -213,81 +224,18 @@ std::string NetworkConfig::canonical_text() const {
   // field switches to v3 and appends the block.  No aliasing is
   // possible — v3 text always contains routing lines, v2 text never
   // does.
-  out << (routing.is_default() ? "caem-config-v2\n" : "caem-config-v3\n");
+  std::string out = routed ? "caem-config-v3\n" : "caem-config-v2\n";
   // Simulation-semantics version: bump whenever SIMULATOR BEHAVIOR
   // changes for identical inputs (kernel reordering, RNG stream
   // changes, model fixes) even though no config or RunResult field
   // moved — it feeds the digest, so existing result-cache directories
   // invalidate structurally instead of serving pre-change numbers.
-  out << "sim-semantics=1\n";
-  put_u("node_count", node_count);
-  put_d("field_size_m", field_size_m);
-  put_d("ch_fraction", ch_fraction);
-  put_d("round_duration_s", round_duration_s);
-  put_d("traffic_rate_pps", traffic_rate_pps);
-  put("traffic_kind", traffic_kind);
-  put_d("packet_bits", packet_bits);
-  put_u("buffer_capacity", buffer_capacity);
-  put_u("sample_every_m", sample_every_m);
-  put_u("arm_queue_length", arm_queue_length);
-  put_d("backoff.slot_s", backoff.slot_s);
-  put_u("backoff.cw", backoff.cw);
-  put_u("backoff.max_retries", backoff.max_retries);
-  put_u("burst.min_packets", burst.min_packets);
-  put_u("burst.max_packets", burst.max_packets);
-  put_d("burst.hold_timeout_s", burst.hold_timeout_s);
-  put_d("check_interval_s", check_interval_s);
-  put_d("detect_delay_s", detect_delay_s);
-  put_d("sensing_delay_s", sensing_delay_s);
-  put_d("tone_classify_delay_s", tone_classify_delay_s);
-  put_d("csi_noise_db", csi_noise_db);
-  put_d("channel.path_loss_exponent", channel.path_loss_exponent);
-  put_d("channel.path_loss_ref_db", channel.path_loss_ref_db);
-  put_d("channel.shadowing_sigma_db", channel.shadowing_sigma_db);
-  put_d("channel.shadowing_tau_s", channel.shadowing_tau_s);
-  put_d("channel.doppler_hz", channel.doppler_hz);
-  put("channel.fading_kind", channel::to_string(channel.fading_kind));
-  put_d("channel.rician_k", channel.rician_k);
-  put_u("channel.jakes_oscillators", channel.jakes_oscillators);
-  put_u("channel.snr_cache_enabled", channel.snr_cache_enabled ? 1 : 0);
-  put_d("channel.radio_range_m", channel.radio_range_m);
-  put_d("channel.spatial_bin_m", channel.spatial_bin_m);
-  put("mobility_kind", mobility_kind);
-  put_d("mobility_max_speed_mps", mobility_max_speed_mps);
-  put_d("mobility_pause_s", mobility_pause_s);
-  put_d("tx_power_dbm", tx_power_dbm);
-  put_d("rx_noise_figure_db", rx_noise_figure_db);
-  put_d("noise_bandwidth_hz", noise_bandwidth_hz);
-  put_d("header_bits", header_bits);
-  put_d("preamble_s", preamble_s);
-  put_d("initial_energy_j", initial_energy_j);
-  put_d("data_tx_w", data_tx_w);
-  put_d("data_rx_w", data_rx_w);
-  put_d("data_idle_w", data_idle_w);
-  put_d("data_sleep_w", data_sleep_w);
-  put_d("data_startup_s", data_startup_s);
-  put_d("tone_tx_w", tone_tx_w);
-  put_d("tone_rx_w", tone_rx_w);
-  put_d("tone_monitor_duty", tone_monitor_duty);
-  put_d("tone_sleep_w", tone_sleep_w);
-  put_d("tone_startup_s", tone_startup_s);
-  put_u("ch_forward_enabled", ch_forward_enabled ? 1 : 0);
-  put_d("bs_distance_m", bs_distance_m);
-  put_d("fwd_e_elec_j_per_bit", fwd_e_elec_j_per_bit);
-  put_d("fwd_eps_amp_j_per_bit_m2", fwd_eps_amp_j_per_bit_m2);
-  put_d("aggregation_ratio", aggregation_ratio);
-  put_d("csi_gate_deadline_s", csi_gate_deadline_s);
-  put_d("dead_fraction", dead_fraction);
-  put_d("energy_snapshot_interval_s", energy_snapshot_interval_s);
-  put_d("queue_snapshot_interval_s", queue_snapshot_interval_s);
-  if (!routing.is_default()) {
-    put("routing.kind", routing.kind);
-    put_u("routing.max_hops", routing.max_hops);
-    put_d("routing.relay_rx_j_per_bit", routing.relay_rx_j_per_bit);
-    put_d("routing.sink_x_m", routing.sink_x_m);
-    put_d("routing.sink_y_m", routing.sink_y_m);
+  out += "sim-semantics=1\n";
+  for (const Knob& knob : knobs()) {
+    if (knob.routing_block && !routed) continue;
+    out.append(knob.key).append("=").append(knob.text(*this)) += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::string NetworkConfig::digest() const { return util::content_digest(canonical_text()); }

@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
+#include <variant>
 
 #include "channel/link.hpp"
 #include "channel/link_manager.hpp"
@@ -40,10 +43,7 @@ struct UplinkRoutingConfig {
   [[nodiscard]] bool has_geometric_sink() const noexcept {
     return sink_x_m >= 0.0 && sink_y_m >= 0.0;
   }
-  [[nodiscard]] bool is_default() const noexcept {
-    return kind == "direct" && max_hops == 4 && relay_rx_j_per_bit == 50e-9 &&
-           sink_x_m == -1.0 && sink_y_m == -1.0;
-  }
+  bool operator==(const UplinkRoutingConfig&) const = default;
 };
 
 struct NetworkConfig {
@@ -156,12 +156,12 @@ struct NetworkConfig {
   /// Throw std::invalid_argument on inconsistent values.
   void validate() const;
 
-  /// Apply `key=value` overrides (keys mirror the field names, e.g.
-  /// "node_count", "traffic_rate_pps", "channel.doppler_hz").
+  /// Apply `key=value` overrides keyed by each knob's override key (the
+  /// member path, or an alias; `caem knobs` lists them), then validate().
   void apply_overrides(const util::Config& overrides);
 
   /// Canonical `key=value` text rendering of EVERY knob (doubles at full
-  /// round-trip precision, one line per field, fixed order, versioned
+  /// round-trip precision, one line per knob in knobs() order, versioned
   /// header line).  Two configs produce the same text iff they run the
   /// same simulation, which makes the text the cache-key substrate.
   [[nodiscard]] std::string canonical_text() const;
@@ -170,5 +170,38 @@ struct NetworkConfig {
   /// identity used by the scenario result cache and artifact provenance.
   [[nodiscard]] std::string digest() const;
 };
+
+/// Kind names, in KnobField's alternative order.
+inline constexpr const char* kKnobKindNames[] = {"count", "u32", "real", "flag", "text", "fading"};
+/// A knob's member inside one NetworkConfig; the alternative is its kind.
+using KnobField = std::variant<std::size_t*, std::uint32_t*, double*, bool*, std::string*,
+                               channel::FadingKind*>;
+
+/// One row of the knob table: a NetworkConfig member and all that
+/// apply_overrides, canonical_text, validate and `caem knobs` know of it.
+struct Knob {
+  const char* key;  ///< member path, e.g. "channel.doppler_hz"; the canonical key
+  KnobField (*field)(NetworkConfig&);  ///< the member inside a given config
+  const char* alias = nullptr;  ///< override key when it is not `key`
+  /// Valid numbers: lo (exclusive when lo_open) up to hi, never NaN; an
+  /// integer row's range lies inside its member's type.
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  std::span<const char* const> choices{};  ///< the valid text, fading or flag values
+  bool routing_block = false;  ///< hashed only when routing is non-default (v3)
+
+  [[nodiscard]] const char* override_key() const noexcept { return alias ? alias : key; }
+  [[nodiscard]] bool contains(double value) const noexcept {
+    return (lo_open ? value > lo : value >= lo) && value <= hi;
+  }
+  /// The value as canonical_text renders it and apply_overrides reads it.
+  [[nodiscard]] std::string text(const NetworkConfig& config) const;
+  /// The valid values, e.g. "(0, 1]" or "{poisson, cbr, burst}".
+  [[nodiscard]] std::string range_text() const;
+};
+
+/// Every knob, in canonical_text order.
+[[nodiscard]] std::span<const Knob> knobs() noexcept;
 
 }  // namespace caem::core

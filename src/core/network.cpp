@@ -24,7 +24,7 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
   // factory OR any routing.* knob is non-default; otherwise the run
   // takes the legacy single-hop path untouched (byte-identical
   // artifacts for all pre-routing configs — a tested contract).
-  if (spec.routing || spec.uplink_energy || !config_.routing.is_default()) {
+  if (spec.routing || spec.uplink_energy || config_.routing != UplinkRoutingConfig{}) {
     routing_ = spec.routing ? spec.routing(config_)
                             : routing::make_routing_strategy(config_.routing.kind,
                                                              config_.routing.max_hops);

@@ -170,7 +170,7 @@ TEST(NetworkConfig, DefaultRoutingKeepsTheLegacyDigest) {
   // assignments minted before the feature keep serving.  The literal
   // digest pins it against accidental canonical-text drift.
   const NetworkConfig base;
-  EXPECT_TRUE(base.routing.is_default());
+  EXPECT_EQ(base.routing, UplinkRoutingConfig{});
   EXPECT_EQ(base.digest(), "d5cc9acc34aeb055");
   const std::string text = base.canonical_text();
   EXPECT_EQ(text.rfind("caem-config-v2\n", 0), 0u) << text.substr(0, 40);

@@ -17,6 +17,7 @@
 
 #include "core/run_result_io.hpp"
 #include "core/simulation_runner.hpp"
+#include "support/golden_matrix.hpp"
 #include "util/digest.hpp"
 
 #ifndef CAEM_GOLDEN_TABLE
@@ -27,48 +28,6 @@ namespace caem::core {
 namespace {
 
 constexpr std::uint64_t kSeed = 2005;
-
-struct Cell {
-  std::string key;
-  NetworkConfig config;
-  Protocol protocol;
-};
-
-// Paper trio plus caem-deadline x fading x mobility x radio range x SNR
-// cache.  Short rounds put several round boundaries (link release and
-// re-derivation) inside a 20 s horizon, and the small battery lets some
-// nodes die within it.
-std::vector<Cell> golden_matrix() {
-  std::vector<Protocol> protocols = paper_protocols();
-  protocols.push_back(protocol_from_string("caem-deadline"));
-  std::vector<Cell> cells;
-  for (const Protocol& protocol : protocols) {
-    for (const char* fading : {"jakes", "rician", "block"}) {
-      for (const char* mobility : {"static", "waypoint"}) {
-        for (const double range_m : {0.0, 40.0}) {
-          for (const bool cache : {true, false}) {
-            NetworkConfig config;
-            config.node_count = 20;
-            config.field_size_m = 100.0;
-            config.ch_fraction = 0.1;
-            config.round_duration_s = 4.0;
-            config.traffic_rate_pps = 4.0;
-            config.initial_energy_j = 0.2;
-            config.mobility_kind = mobility;
-            config.channel.fading_kind = channel::fading_kind_from_string(fading);
-            config.channel.radio_range_m = range_m;
-            config.channel.snr_cache_enabled = cache;
-            std::ostringstream key;
-            key << to_string(protocol) << '/' << fading << '/' << mobility << "/range"
-                << range_m << "/cache" << (cache ? 1 : 0);
-            cells.push_back({key.str(), config, protocol});
-          }
-        }
-      }
-    }
-  }
-  return cells;
-}
 
 std::string result_digest(RunResult result) {
   result.wall_ms = 0.0;
@@ -94,7 +53,7 @@ TEST(GoldenResults, SeedMatrixMatchesCommittedTable) {
   RunOptions options;
   options.max_sim_s = 20.0;
   std::vector<std::pair<std::string, std::string>> digests;
-  for (const Cell& cell : golden_matrix()) {
+  for (const test_support::GoldenCell& cell : test_support::golden_matrix()) {
     digests.emplace_back(cell.key,
                          result_digest(SimulationRunner::run(cell.config, cell.protocol,
                                                              kSeed, options)));
