@@ -22,15 +22,28 @@
 // density per-event cost should not grow with N; the growth is recorded
 // as a baseline and not gated.
 //
+// The horizon axis bounds memory in simulated time.  One N runs twice,
+// to a short horizon and to four times it, each in its own child.  The
+// delay sample must grow with time, 8 B per delivered packet (an exact
+// p95 needs every sample), so the gate is
+//   peak(long) <= 1.10 x (peak(short) + 8 B x extra delivered packets).
+// Everything else that accumulates per round (the 32 B record each
+// channel pair keeps) must fit in the 10%; a 152 B Link kept per pair
+// ever used, or packet buffers kept at their high-water mark, do not.
+// The exit code enforces it beside the other two.
+//
 // Usage: bench_scale [--fast] [key=value ...]
-//   --fast | fast=1   smoke sweep: N up to 20k, shorter horizon
+//   --fast | fast=1   smoke sweep: N up to 20k, shorter horizon, and a
+//                     horizon axis of 5k nodes at 30 s and 120 s instead
+//                     of 10k nodes at 60 s and 240 s
 //   seed=<n>          master seed (default 2005)
-//   sim_s=<t>         horizon per point (default 40, fast 20)
+//   sim_s=<t>         horizon per point of the N sweep (default 40, fast 20)
 //   json=<path>       output path (default BENCH_scale.json)
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -54,6 +67,7 @@ struct ScalePoint {
   double field_size_m = 0.0;
   double wall_s = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t delivered = 0;  // packets delivered over the air: one delay sample each
   double sim_end_s = 0.0;
   double peak_rss_mb = 0.0;  // child process peak resident set
   double bytes_per_node = 0.0;
@@ -62,6 +76,11 @@ struct ScalePoint {
 // The footprint gate's slack: bytes per node at the largest N over the
 // 10k value.
 constexpr double kFootprintSlack = 1.25;
+// The horizon gate: the long run may add 8 B per extra delivered packet
+// to the short run's peak, plus this slack.
+constexpr double kHorizonSlack = 1.10;
+constexpr double kBytesPerDelivered = 8.0;
+constexpr double kHorizonFactor = 4.0;
 
 ScalePoint run_point(std::size_t n, std::uint64_t seed, double sim_s) {
   core::NetworkConfig config;
@@ -84,6 +103,7 @@ ScalePoint run_point(std::size_t n, std::uint64_t seed, double sim_s) {
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   point.wall_s = elapsed.count();
   point.events = result.executed_events;
+  point.delivered = result.delivered_air;
   point.sim_end_s = result.sim_end_s;
   return point;
 }
@@ -136,9 +156,18 @@ double ns_per_event(const ScalePoint& point) {
   return point.events > 0 ? point.wall_s * 1e9 / static_cast<double>(point.events) : 0.0;
 }
 
+/// The horizon axis: one N at a short and a long horizon.
+struct HorizonAxis {
+  ScalePoint short_run;
+  ScalePoint long_run;
+  double bound_mb = 0.0;
+  bool time_bounded = false;
+};
+
 void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
                 bool sub_quadratic, double footprint_growth, bool footprint_flat,
-                double ns_growth, double sim_s, const std::string& path) {
+                double ns_growth, const HorizonAxis& horizon, double sim_s,
+                const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -169,10 +198,24 @@ void write_json(const std::vector<ScalePoint>& points, double growth_1k_10k,
                "  \"bytes_per_node_growth_10k_to_max\": %.2f,\n"
                "  \"footprint_slack\": %.2f,\n"
                "  \"footprint_flat\": %s,\n"
-               "  \"ns_per_event_growth_1k_to_max\": %.2f\n"
-               "}\n",
+               "  \"ns_per_event_growth_1k_to_max\": %.2f,\n",
                growth_1k_10k, sub_quadratic ? "true" : "false", footprint_growth, kFootprintSlack,
                footprint_flat ? "true" : "false", ns_growth);
+  std::fprintf(out, "  \"horizon\": {\"n\": %zu, \"points\": [\n", horizon.short_run.n);
+  for (const ScalePoint* p : {&horizon.short_run, &horizon.long_run}) {
+    std::fprintf(out,
+                 "    {\"sim_s\": %.0f, \"wall_s\": %.3f, \"events\": %llu, "
+                 "\"delivered\": %llu, \"peak_rss_mb\": %.1f}%s\n",
+                 p->sim_end_s, p->wall_s, static_cast<unsigned long long>(p->events),
+                 static_cast<unsigned long long>(p->delivered), p->peak_rss_mb,
+                 p == &horizon.short_run ? "," : "");
+  }
+  std::fprintf(out,
+               "  ], \"bound_mb\": %.1f, \"slack\": %.2f, \"bytes_per_delivered\": %.0f},\n"
+               "  \"time_bounded\": %s\n"
+               "}\n",
+               horizon.bound_mb, kHorizonSlack, kBytesPerDelivered,
+               horizon.time_bounded ? "true" : "false");
   std::fclose(out);
   std::printf("\nBENCH_scale -> %s\n", path.c_str());
 }
@@ -211,6 +254,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (sim_s <= 0.0) sim_s = fast ? 20.0 : 40.0;
+  const std::size_t horizon_n = fast ? 5000 : 10000;
+  const double horizon_s = fast ? 30.0 : 60.0;
 
   // The fast sweep keeps one point past 10k so the footprint gate has
   // something to compare.
@@ -258,7 +303,31 @@ int main(int argc, char** argv) {
               footprint_growth, kFootprintSlack, footprint_flat ? "flat" : "NOT flat");
   const double ns_growth = ns_1k > 0.0 ? ns_per_event(points.back()) / ns_1k : 0.0;
   std::printf("ns/event 1k -> %zu: %.2fx (recorded, not gated)\n", points.back().n, ns_growth);
-  write_json(points, growth, sub_quadratic, footprint_growth, footprint_flat, ns_growth, sim_s,
-             json_path);
-  return sub_quadratic && footprint_flat ? 0 : 1;
+
+  HorizonAxis horizon;
+  std::printf("\nhorizon axis at N=%zu:\n%8s %10s %14s %12s %10s\n", horizon_n, "sim s",
+              "wall (s)", "events", "delivered", "peak MB");
+  for (ScalePoint* run : {&horizon.short_run, &horizon.long_run}) {
+    const double run_s = run == &horizon.short_run ? horizon_s : kHorizonFactor * horizon_s;
+    *run = run_point_isolated(horizon_n, seed, run_s);
+    std::printf("%8.0f %10.3f %14llu %12llu %10.1f\n", run->sim_end_s, run->wall_s,
+                static_cast<unsigned long long>(run->events),
+                static_cast<unsigned long long>(run->delivered), run->peak_rss_mb);
+    std::fflush(stdout);
+  }
+  const double extra_delivered = static_cast<double>(horizon.long_run.delivered) -
+                                 static_cast<double>(horizon.short_run.delivered);
+  horizon.bound_mb =
+      kHorizonSlack * (horizon.short_run.peak_rss_mb +
+                       kBytesPerDelivered * std::max(extra_delivered, 0.0) / (1024.0 * 1024.0));
+  horizon.time_bounded = horizon.long_run.peak_rss_mb <= horizon.bound_mb;
+  std::printf("peak %.0f s -> %.0f s: %.1f -> %.1f MB (gate <= %.2fx (%.1f MB + 8 B x %.0f "
+              "extra delivered) = %.1f MB) -> %s\n",
+              horizon_s, kHorizonFactor * horizon_s, horizon.short_run.peak_rss_mb,
+              horizon.long_run.peak_rss_mb, kHorizonSlack, horizon.short_run.peak_rss_mb,
+              extra_delivered, horizon.bound_mb,
+              horizon.time_bounded ? "bounded in time" : "NOT bounded in time");
+  write_json(points, growth, sub_quadratic, footprint_growth, footprint_flat, ns_growth, horizon,
+             sim_s, json_path);
+  return sub_quadratic && footprint_flat && horizon.time_bounded ? 0 : 1;
 }

@@ -54,17 +54,6 @@ double Link::fading_db(double time_s) {
   return cached_fading_db_;
 }
 
-bool Link::release_fading() noexcept {
-  if (!fading_ || !fading_->stateless()) return false;
-  fading_.reset();
-  return true;
-}
-
-void Link::restore_fading(std::unique_ptr<FadingModel> fading) {
-  if (!fading) throw std::invalid_argument("Link: null fading model");
-  fading_ = std::move(fading);
-}
-
 double Link::distance_m_at(double time_s) {
   return distance_m(a_->position_at(time_s), b_->position_at(time_s));
 }

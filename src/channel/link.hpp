@@ -7,11 +7,12 @@
 // assumption G_ab == G_ba), which is exactly what lets sensors estimate
 // the data-channel CSI from the received tone-signal strength.
 //
-// The coherence-window cache keeps the fading term already in dB.  The
-// fading model is detachable state: a stateless one (Jakes, Rician) may
-// be released while the pair is idle and restored from its RNG stream
-// (LinkManager does both), whereas the shadowing process and the window
-// cache carry history and always stay in the Link.
+// The coherence-window cache keeps the fading term already in dB.  With
+// a stateless fading model (Jakes, Rician) the only history a Link
+// carries is its shadowing process: the fading and the window cache are
+// pure functions of the pair's stream and of time.  So LinkManager can
+// evict an idle Link, keep only the shadowing history, and rebuild it
+// bit-identically later.
 #pragma once
 
 #include <memory>
@@ -67,7 +68,6 @@ class Link {
        double fading_cache_window_s = 0.0);
 
   /// Composite channel power gain in dB (negative for real links).
-  /// Requires a resident fading model (has_fading()).
   [[nodiscard]] double gain_db(double time_s);
 
   /// Instantaneous SNR in dB for the given budget.
@@ -76,15 +76,12 @@ class Link {
   /// Current endpoint distance (metres).
   [[nodiscard]] double distance_m_at(double time_s);
 
-  /// Whether the fading model is resident (see release_fading).
-  [[nodiscard]] bool has_fading() const noexcept { return fading_ != nullptr; }
+  /// The shadowing process, whose history() is all an evicted Link keeps.
+  [[nodiscard]] const GaussMarkovShadowing& shadowing() const noexcept { return shadowing_; }
 
-  /// Drop the fading model if it is stateless (FadingModel::stateless);
-  /// returns whether it was dropped.  A dropped model must be restored
-  /// with restore_fading — rebuilt from the same stream — before the
-  /// next query.
-  bool release_fading() noexcept;
-  void restore_fading(std::unique_ptr<FadingModel> fading);
+  /// Whether the fading model is a pure function of time (see
+  /// FadingModel::stateless), so the Link may be evicted and rebuilt.
+  [[nodiscard]] bool fading_stateless() const noexcept { return fading_->stateless(); }
 
  private:
   /// Fading term 10 log10(max(gain, 1e-8)), served from the

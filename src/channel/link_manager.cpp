@@ -7,8 +7,7 @@ namespace caem::channel {
 
 namespace {
 
-constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};  // impossible: lo == hi
-constexpr std::size_t kInitialTableSize = 64;           // power of two
+constexpr std::size_t kInitialTableSize = 64;  // power of two
 
 [[nodiscard]] std::uint64_t pair_key(NodeId a, NodeId b) noexcept {
   const NodeId lo = a < b ? a : b;
@@ -57,8 +56,7 @@ LinkManager::LinkManager(ChannelConfig config, sim::RngRegistry* rng)
   if (rng_ == nullptr) throw std::invalid_argument("LinkManager: null RNG registry");
   path_loss_ = std::make_unique<LogDistancePathLoss>(config_.path_loss_exponent,
                                                      config_.path_loss_ref_db);
-  table_keys_.assign(kInitialTableSize, kEmptyKey);
-  table_slots_.assign(kInitialTableSize, 0);
+  table_.assign(kInitialTableSize, kNone);
 }
 
 NodeId LinkManager::add_node(std::unique_ptr<MobilityModel> mobility) {
@@ -87,25 +85,41 @@ std::unique_ptr<FadingModel> LinkManager::make_fading(NodeId lo, NodeId hi) {
 }
 
 std::size_t LinkManager::probe(std::uint64_t key) const noexcept {
-  const std::size_t mask = table_keys_.size() - 1;
+  const std::size_t mask = table_.size() - 1;
   std::size_t idx = static_cast<std::size_t>(mix(key)) & mask;
-  while (table_keys_[idx] != kEmptyKey && table_keys_[idx] != key) {
+  while (table_[idx] != kNone && pairs_[table_[idx]].key != key) {
     idx = (idx + 1) & mask;
   }
   return idx;
 }
 
 void LinkManager::grow_table() {
-  std::vector<std::uint64_t> old_keys = std::move(table_keys_);
-  std::vector<std::uint32_t> old_slots = std::move(table_slots_);
-  table_keys_.assign(old_keys.size() * 2, kEmptyKey);
-  table_slots_.assign(old_keys.size() * 2, 0);
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] == kEmptyKey) continue;
-    const std::size_t idx = probe(old_keys[i]);
-    table_keys_[idx] = old_keys[i];
-    table_slots_[idx] = old_slots[i];
+  table_.assign(table_.size() * 2, kNone);
+  for (std::size_t pair = 0; pair < pairs_.size(); ++pair) {
+    table_[probe(pairs_[pair].key)] = static_cast<std::uint32_t>(pair);
   }
+}
+
+void LinkManager::materialise(PairRecord& pair) {
+  const auto lo = static_cast<NodeId>(pair.key >> 32);
+  const auto hi = static_cast<NodeId>(pair.key);
+  // The stream NAMES ("shadow/<lo>-<hi>", "fading/<lo>-<hi>") are what
+  // keep pre-existing seeds byte-identical.
+  GaussMarkovShadowing shadowing(config_.shadowing_sigma_db, config_.shadowing_tau_s,
+                                 rng_->make_stream(stream_tag("shadow", lo, hi)));
+  shadowing.resume({pair.last_time_s, pair.last_value_db, pair.draws});
+  auto fading = make_fading(lo, hi);
+  const double cache_window_s =
+      config_.snr_cache_enabled ? fading->coherence_time_s() : 0.0;
+  if (free_slots_.empty()) {
+    pair.link_slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    pair.link_slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  pool_[pair.link_slot].emplace(path_loss_.get(), nodes_[lo].get(), nodes_[hi].get(),
+                                std::move(shadowing), std::move(fading), cache_window_s);
 }
 
 Link& LinkManager::link(NodeId a, NodeId b) {
@@ -114,39 +128,35 @@ Link& LinkManager::link(NodeId a, NodeId b) {
     throw std::invalid_argument("LinkManager: unknown node id");
   }
   const std::uint64_t key = pair_key(a, b);
-  const NodeId lo = a < b ? a : b;
-  const NodeId hi = a < b ? b : a;
-  std::size_t idx = probe(key);
-  if (table_keys_[idx] == key) {
-    Link& found = pool_[table_slots_[idx]];
-    if (!found.has_fading()) {
-      found.restore_fading(make_fading(lo, hi));
-      ++resident_fading_;
-    }
-    return found;
+  const std::size_t idx = probe(key);
+  std::uint32_t index = table_[idx];
+  if (index == kNone) {
+    // First use: a record with no draws builds the Link from fresh streams.
+    index = static_cast<std::uint32_t>(pairs_.size());
+    table_[idx] = index;
+    pairs_.push_back({key});
+    if (pairs_.size() * 10 >= table_.size() * 7) grow_table();
   }
-
-  // Cold miss.  The stream NAMES ("shadow/<lo>-<hi>", "fading/<lo>-<hi>")
-  // are what keep pre-existing seeds byte-identical.
-  GaussMarkovShadowing shadowing(config_.shadowing_sigma_db, config_.shadowing_tau_s,
-                                 rng_->make_stream(stream_tag("shadow", lo, hi)));
-  auto fading = make_fading(lo, hi);
-  const double cache_window_s =
-      config_.snr_cache_enabled ? fading->coherence_time_s() : 0.0;
-  pool_.emplace_back(path_loss_.get(), nodes_[a].get(), nodes_[b].get(),
-                     std::move(shadowing), std::move(fading), cache_window_s);
-  ++resident_fading_;
-
-  table_keys_[idx] = key;
-  table_slots_[idx] = static_cast<std::uint32_t>(pool_.size() - 1);
-  if (pool_.size() * 10 >= table_keys_.size() * 7) {
-    grow_table();
-  }
-  return pool_.back();
+  PairRecord& pair = pairs_[index];
+  if (pair.link_slot == kNone) materialise(pair);
+  return *pool_[pair.link_slot];
 }
 
-void LinkManager::release_fading(Link& link) noexcept {
-  if (link.release_fading()) --resident_fading_;
+void LinkManager::release(NodeId a, NodeId b) noexcept {
+  const std::uint32_t index = table_[probe(pair_key(a, b))];
+  if (index == kNone) return;
+  PairRecord& pair = pairs_[index];
+  if (pair.link_slot == kNone) return;
+  const Link& link = *pool_[pair.link_slot];
+  const GaussMarkovShadowing::History history = link.shadowing().history();
+  // A pair past 2^32 - 1 draws cannot be counted in its record: it stays.
+  if (!link.fading_stateless() || history.draws > UINT32_MAX) return;
+  pair.last_time_s = history.last_time_s;
+  pair.last_value_db = history.last_value_db;
+  pair.draws = static_cast<std::uint32_t>(history.draws);
+  pool_[pair.link_slot].reset();
+  free_slots_.push_back(pair.link_slot);
+  pair.link_slot = kNone;
 }
 
 bool LinkManager::in_range(NodeId a, NodeId b, double time_s) {
@@ -169,7 +179,7 @@ void RoundLink::bind(NodeId peer) noexcept {
 }
 
 void RoundLink::release() noexcept {
-  if (link_ != nullptr) links_->release_fading(*link_);
+  if (link_ != nullptr) links_->release(self_, peer_);
   link_ = nullptr;
   peer_ = kNoPeer;
 }

@@ -8,32 +8,38 @@
 // a link's draws depend only on (master seed, pair), never on creation
 // order, so lazy materialisation is bit-identical to eager.
 //
-// City-scale storage: links live in a pooled deque (stable references,
-// no per-link unique_ptr) behind an open-addressed pair->slot hash
-// table, so the per-query lookup is a mix + linear probe instead of a
-// red-black-tree descent.  With `radio_range_m` set, pairs beyond radio
-// range are never materialised at all: snr_db answers kOutOfRangeSnrDb
-// from the positions alone, which is what keeps the live link set
-// O(N * neighbors) instead of O(N^2) on large fields.
+// City-scale storage: an open-addressed pair->index hash table (a mix
+// plus a linear probe per lookup) over flat per-pair arrays.  With
+// `radio_range_m` set, pairs beyond radio range are never materialised
+// at all: snr_db answers kOutOfRangeSnrDb from the positions alone,
+// which keeps the pair set O(N * neighbors) instead of O(N^2) on large
+// fields.
 //
 // Round-scoped handles: a sensor talks to one CH for a whole LEACH
 // round, so the network gives each node a RoundLink that resolves the
 // pair once and then queries the Link directly.  When the round closes
-// the handle releases the link's fading model if it is stateless
-// (Jakes, Rician — about 0.5 kB each); link() re-derives it from the
-// pair's stream "fading/<lo>-<hi>" the next time the pair is resolved,
-// so the resident fading set is bounded by one round's members instead
-// of growing with every pair the run has ever used.
+// the handle releases the pair.  With a stateless fading model (Jakes,
+// Rician) release evicts the Link (152 B plus a ~0.5 kB fading table);
+// the pair keeps only its shadowing history, its last sample and draw
+// count, in a 32 B record.  link() rebuilds the Link from the pair's
+// streams "shadow/<lo>-<hi>" (advanced past the counted draws) and
+// "fading/<lo>-<hi>" the next time the pair is resolved.  Evicted slots
+// are reused, so resident Links are bounded by one round's members
+// (plus callers that query outside a round), not by every pair the run
+// has ever used.  Block fading draws its blocks in sequence, so its
+// Links stay resident.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "channel/link.hpp"
 #include "sim/rng_registry.hpp"
+#include "util/chunked_array.hpp"
 
 namespace caem::channel {
 
@@ -91,18 +97,23 @@ class LinkManager {
   [[nodiscard]] MobilityModel& mobility(NodeId id) { return *nodes_.at(id); }
 
   /// The (shared, direction-free) link between two distinct nodes,
-  /// created on first use, with its fading model resident (re-derived
-  /// from its stream if it was released).  Throws std::invalid_argument
-  /// for a == b or unknown ids.  References remain valid for the
-  /// manager's lifetime (pooled storage never moves a Link).
+  /// created on first use and rebuilt from its memo after an eviction.
+  /// Throws std::invalid_argument for a == b or unknown ids.  The
+  /// reference stays valid until release() evicts the pair.
   [[nodiscard]] Link& link(NodeId a, NodeId b);
 
-  /// Drop `link`'s fading model if it is stateless; the next link() call
-  /// for the pair rebuilds it bit-identically.  Block fading stays.
-  void release_fading(Link& link) noexcept;
+  /// The pair went idle: with a stateless fading model, memoise its
+  /// shadowing history and evict its Link (the next link() rebuilds it
+  /// bit-identically).  A no-op for block fading and for pairs that
+  /// are not resident.
+  void release(NodeId a, NodeId b) noexcept;
 
-  /// Fading models currently held in memory (digest-neutral diagnostic).
-  [[nodiscard]] std::size_t resident_fading_count() const noexcept { return resident_fading_; }
+  /// Pairs ever materialised, and how many of them hold a Link in
+  /// memory now; the rest are memoised (digest-neutral diagnostics).
+  [[nodiscard]] std::size_t pair_count() const noexcept { return pairs_.size(); }
+  [[nodiscard]] std::size_t resident_link_count() const noexcept {
+    return pool_.size() - free_slots_.size();
+  }
 
   /// Is the pair within the configured radio range at `time_s`?  Always
   /// true when no cutoff is configured.
@@ -113,10 +124,25 @@ class LinkManager {
   [[nodiscard]] double snr_db(NodeId a, NodeId b, double time_s, const LinkBudget& budget);
 
   [[nodiscard]] const ChannelConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t live_link_count() const noexcept { return pool_.size(); }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// One pair ever materialised: its key, the pool slot of its resident
+  /// Link (kNone while evicted) and, while evicted, the memo of its
+  /// shadowing history.
+  struct PairRecord {
+    std::uint64_t key = 0;
+    double last_time_s = 0.0;
+    double last_value_db = 0.0;
+    std::uint32_t draws = 0;
+    std::uint32_t link_slot = kNone;
+  };
+  static_assert(sizeof(PairRecord) == 32);
+
   [[nodiscard]] std::unique_ptr<FadingModel> make_fading(NodeId lo, NodeId hi);
+  /// Build `pair`'s Link from its streams and memo into a free pool slot.
+  void materialise(PairRecord& pair);
   /// Slot of `key` in the open-addressed table, or the empty slot where
   /// it belongs (linear probing; table is never full).
   [[nodiscard]] std::size_t probe(std::uint64_t key) const noexcept;
@@ -127,13 +153,14 @@ class LinkManager {
   std::unique_ptr<PathLossModel> path_loss_;
   std::vector<std::unique_ptr<MobilityModel>> nodes_;
 
-  // Pair->slot open-addressed table over pooled Link storage.  The deque
-  // keeps Link addresses stable as the pool grows; the table stores
-  // pool indices and rehashes (cheap: two flat vectors) at 70% load.
-  std::deque<Link> pool_;
-  std::vector<std::uint64_t> table_keys_;
-  std::vector<std::uint32_t> table_slots_;
-  std::size_t resident_fading_ = 0;
+  // Key->pair open-addressed table of indices into pairs_ (kNone =
+  // empty; rehashed at 70% load).  pairs_ and pool_ grow a chunk at a
+  // time, never copying what they hold; the deque keeps Link addresses
+  // stable, and evicted pool slots go on free_slots_ for reuse.
+  std::vector<std::uint32_t> table_;
+  util::ChunkedArray<PairRecord> pairs_;
+  std::deque<std::optional<Link>> pool_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 /// One node's channel to its peer for one LEACH round: a sensor's link
@@ -158,8 +185,9 @@ class RoundLink final : public SnrSource {
   /// Point the handle at `peer` for the round that is starting.
   void bind(NodeId peer) noexcept;
 
-  /// Round end: release the resolved link's stateless fading model and
-  /// unbind, so no query can outlive its round.
+  /// Round end: release the resolved pair (LinkManager::release) and
+  /// unbind, so no query can outlive its round.  A pair is held by at
+  /// most one handle: a member's peer is a CH, never a member.
   void release() noexcept;
 
   [[nodiscard]] double snr_db(double time_s) override;

@@ -8,6 +8,8 @@
 // nothing between queries regardless of the gap.
 #pragma once
 
+#include <cstdint>
+
 #include "util/rng.hpp"
 
 namespace caem::channel {
@@ -23,6 +25,19 @@ class GaussMarkovShadowing {
   /// process is not invertible backwards; MAC code never rewinds time.
   [[nodiscard]] double value_db(double time_s);
 
+  /// The process's history: its last sample and how many normal
+  /// variates it has drawn, which fixes its stream position.  A fresh
+  /// process on the same stream, resumed from it, continues exactly as
+  /// the original would have.
+  struct History {
+    double last_time_s = 0.0;
+    double last_value_db = 0.0;
+    std::uint64_t draws = 0;  ///< 0: nothing drawn yet
+  };
+  [[nodiscard]] History history() const noexcept;
+  /// Requires a process that has drawn nothing yet.
+  void resume(const History& history) noexcept;
+
   [[nodiscard]] double sigma_db() const noexcept { return sigma_db_; }
   [[nodiscard]] double correlation_s() const noexcept { return correlation_s_; }
 
@@ -32,7 +47,7 @@ class GaussMarkovShadowing {
   util::Rng rng_;
   double last_time_s_ = 0.0;
   double last_value_db_ = 0.0;
-  bool initialised_ = false;
+  std::uint64_t draws_ = 0;  ///< normal variates drawn so far
 };
 
 }  // namespace caem::channel

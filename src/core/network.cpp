@@ -109,8 +109,8 @@ Network::~Network() = default;
 
 Network::ChannelResidency Network::channel_residency() const noexcept {
   ChannelResidency residency;
-  residency.links = links_.live_link_count();
-  residency.resident_fading = links_.resident_fading_count();
+  residency.resident_links = links_.resident_link_count();
+  residency.memoised_pairs = links_.pair_count() - residency.resident_links;
   for (const auto& cluster : active_clusters_) residency.round_members += cluster.members.size();
   return residency;
 }
@@ -156,8 +156,8 @@ void Network::close_round(double now_s) {
     cluster.mac->stop(now_s);
     collisions_total_ += cluster.mac->collisions();
     for (std::uint64_t c = 0; c < cluster.mac->collisions(); ++c) metrics_.record_collision();
-    // The round's member->CH links go idle: drop their stateless fading
-    // models (re-derived on the pair's next use) and unbind the handles.
+    // The round's member->CH links go idle: evict them to their memos
+    // (rebuilt on the pair's next use) and unbind the handles.
     for (const std::uint32_t member : cluster.members) round_links_[member].release();
   }
   active_clusters_.clear();

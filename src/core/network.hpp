@@ -111,12 +111,13 @@ class Network {
   [[nodiscard]] std::vector<double> remaining_energy_j() const;
 
   /// Channel residency, a digest-neutral diagnostic: member->CH pairs
-  /// ever materialised, fading models held in memory now, and sensors
-  /// bound to a CH this round.  With a stateless fading model (Jakes,
-  /// Rician) resident_fading never exceeds round_members.
+  /// whose Link (152 B plus its fading table) is in memory now, pairs
+  /// evicted to their 32 B record, and sensors bound to a CH this round.
+  /// With a stateless fading model (Jakes, Rician) resident_links never
+  /// exceeds round_members; block fading keeps every Link resident.
   struct ChannelResidency {
-    std::size_t links = 0;
-    std::size_t resident_fading = 0;
+    std::size_t resident_links = 0;
+    std::size_t memoised_pairs = 0;
     std::size_t round_members = 0;
   };
   [[nodiscard]] ChannelResidency channel_residency() const noexcept;

@@ -56,6 +56,9 @@ class MetricsCollector {
   /// Mean end-to-end (queueing + access + air) delay of delivered
   /// packets, seconds.  Self-delivered packets are excluded.
   [[nodiscard]] const util::Sample& delays() const noexcept { return delays_; }
+  /// The same sample, mutable: a finished run's harvest selects its
+  /// quantiles in place (util::Sample::quantile_in_place).
+  [[nodiscard]] util::Sample& delays() noexcept { return delays_; }
 
   /// Aggregate useful throughput over [0, horizon], bits/second.
   [[nodiscard]] double aggregate_throughput_bps(double horizon_s) const noexcept;

@@ -18,11 +18,12 @@ enum class DropReason {
 /// Number of DropReason values (sizes per-reason counters).
 inline constexpr std::size_t kDropReasonCount = 5;
 
+/// 32 B: the two 4-byte fields share one word.
 struct Packet {
   std::uint64_t id = 0;        ///< globally unique, assigned at generation
-  std::uint32_t source = 0;    ///< generating node
   double created_s = 0.0;      ///< generation timestamp
   double payload_bits = 2048;  ///< application payload (Table II: 2 kbit)
+  std::uint32_t source = 0;    ///< generating node
   std::uint32_t retries = 0;   ///< transmission attempts that failed so far
 };
 

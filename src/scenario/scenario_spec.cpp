@@ -130,19 +130,27 @@ void ScenarioSpec::apply_entry(const std::string& key, const std::string& value)
 
 void ScenarioSpec::validate_base_overrides() const {
   // Building a grid point applies base + axis assignments to a
-  // NetworkConfig; unknown keys surface through Config::unconsumed.
-  // The first point is assembled directly (O(axes)) — expanding the
-  // whole cartesian grid just to validate would be wasteful for large
-  // sweeps.
-  GridPoint first;
-  first.assignments.reserve(axes.size());
+  // NetworkConfig, which range-checks every value; unknown keys surface
+  // through Config::unconsumed.  Each value of each axis is checked
+  // once, beside the first value of every other axis: O(sum of axis
+  // lengths) points rather than the whole cartesian grid.
   for (const Axis& axis : axes) {
     if (axis.values.empty()) {
       throw std::invalid_argument("sweep axis '" + axis.key + "' has no values");
     }
-    append_assignments(axis, axis.values.front(), first.assignments);
   }
-  (void)config_at(first);
+  const auto check = [this](std::size_t varied, std::size_t value) {
+    GridPoint point;
+    point.assignments.reserve(axes.size());
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+      append_assignments(axes[i], axes[i].values[i == varied ? value : 0], point.assignments);
+    }
+    (void)config_at(point);
+  };
+  check(0, 0);  // the first point; also the base alone when there are no axes
+  for (std::size_t i = 0; i < axes.size(); ++i) {
+    for (std::size_t value = 1; value < axes[i].values.size(); ++value) check(i, value);
+  }
 }
 
 ScenarioSpec ScenarioSpec::from_config(const util::Config& config) {

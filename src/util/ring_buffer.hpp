@@ -4,8 +4,9 @@
 // a runtime constructor argument because buffer size is a simulation
 // parameter (Table II).  It is a limit, not an allocation: storage
 // starts empty and doubles on demand (from kInitialSlots) up to the
-// limit, so a buffer costs what it has held, not its worst case.
-// clear() hands the storage back.
+// limit, and halves once a pop leaves it a quarter full, so a buffer
+// costs about what it holds now, neither its worst case nor its
+// high-water mark.  clear() hands the storage back.
 #pragma once
 
 #include <algorithm>
@@ -71,6 +72,9 @@ class RingBuffer {
     T value = std::move(storage_[head_]);
     head_ = wrap(head_ + 1);
     --size_;
+    if (storage_.size() > kInitialSlots && size_ <= storage_.size() / 4) {
+      resize_storage(std::max(kInitialSlots, storage_.size() / 2));
+    }
     return value;
   }
 
@@ -89,18 +93,18 @@ class RingBuffer {
     return i >= storage_.size() ? i - storage_.size() : i;
   }
 
-  /// Ensure a free slot exists, growing the storage if it is full but
-  /// below capacity(); false when the buffer is at its limit.
+  /// Ensure a free slot exists, doubling the storage (capped at
+  /// capacity()) if it is full; false when the buffer is at its limit.
   bool make_room() {
     if (full()) return false;
-    if (size_ == storage_.size()) grow();
+    if (size_ == storage_.size()) {
+      resize_storage(std::min(capacity_, std::max(kInitialSlots, 2 * storage_.size())));
+    }
     return true;
   }
 
-  /// Double the storage (capped at capacity()), unwrapping the live
-  /// elements to the start of the new block.
-  void grow() {
-    const std::size_t slots = std::min(capacity_, std::max(kInitialSlots, 2 * storage_.size()));
+  /// Move the live elements to the start of a new block of `slots`.
+  void resize_storage(std::size_t slots) {
     std::vector<T> next(slots);
     for (std::size_t i = 0; i < size_; ++i) next[i] = std::move(storage_[wrap(head_ + i)]);
     storage_.swap(next);

@@ -92,6 +92,20 @@ double Rng::normal() noexcept {
   return radius * std::cos(angle);
 }
 
+void Rng::discard_normals(std::uint64_t n) noexcept {
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  // Each pair normal() draws is u1 (redrawn while 0) then u2.
+  for (; n >= 2; n -= 2) {
+    while (uniform() <= 0.0) {
+    }
+    (void)next();
+  }
+  if (n == 1) (void)normal();
+}
+
 double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }

@@ -74,6 +74,12 @@ class Rng {
   /// Derive a child stream from this generator's seed lineage and a tag.
   [[nodiscard]] Rng fork(std::string_view stream_tag) const noexcept;
 
+  /// Advance past the next `n` normal() variates as cheaply as possible:
+  /// the same raw draws, without the transcendental maths except for a
+  /// final odd variate, whose pair-mate normal() must cache.  Afterwards
+  /// the generator is exactly where n normal() calls would leave it.
+  void discard_normals(std::uint64_t n) noexcept;
+
  private:
   std::array<std::uint64_t, 4> state_{};
   std::uint64_t lineage_ = 0;  // seed lineage used by fork()

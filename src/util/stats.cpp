@@ -46,18 +46,7 @@ double OnlineStats::sample_variance() const noexcept {
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double Sample::mean() const noexcept {
-  if (values_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : values_) sum += v;
-  return sum / static_cast<double>(values_.size());
-}
-
-double Sample::stddev() const noexcept {
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  double sq = 0.0;
-  for (const double v : values_) sq += (v - m) * (v - m);
-  return std::sqrt(sq / static_cast<double>(values_.size()));
+  return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
 }
 
 double Sample::min() const noexcept {
@@ -68,16 +57,36 @@ double Sample::max() const noexcept {
   return values_.empty() ? 0.0 : *std::max_element(values_.begin(), values_.end());
 }
 
-double Sample::quantile(double q) const {
-  if (values_.empty()) return 0.0;
-  std::vector<double> sorted = values_;
-  std::sort(sorted.begin(), sorted.end());
+namespace {
+
+// The interpolation reads ranks lo and lo + 1 of the sorted range.
+// nth_element puts rank lo in place with every larger rank after it, so
+// rank lo + 1 is the minimum of that tail: an exact O(n) selection that
+// returns the very values a full sort would.
+template <class It>
+double select_quantile(It first, It last, double q) {
+  const auto n = static_cast<std::size_t>(last - first);
+  if (n == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const double pos = q * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const It at_lo = first + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(first, at_lo, last);
+  const double below = *at_lo;
+  const double above = lo + 1 < n ? *std::min_element(at_lo + 1, last) : below;
+  return below * (1.0 - frac) + above * frac;
+}
+
+}  // namespace
+
+double Sample::quantile(double q) const {
+  std::vector<double> copy(values_.begin(), values_.end());
+  return select_quantile(copy.begin(), copy.end(), q);
+}
+
+double Sample::quantile_in_place(double q) {
+  return select_quantile(values_.begin(), values_.end(), q);
 }
 
 double population_stddev(const std::vector<double>& values) noexcept {

@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/chunked_array.hpp"
+
 namespace caem::util {
 
 /// Single-pass mean / variance / min / max accumulator (Welford).
@@ -42,28 +44,42 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Value collector with quantiles.  Stores all observations; intended for
-/// per-run metric vectors (delays, queue lengths), not hot loops.
+/// Value collector with exact quantiles.  Stores every observation, 8 B
+/// each, in a ChunkedArray: growth never copies what is stored, so a
+/// long run's sample costs its size and no transient doubling.  The sum
+/// is kept as values arrive (the same additions, in the same order, as
+/// summing the stored values), so the mean does not depend on storage
+/// order and survives an in-place quantile.
 class Sample {
  public:
-  void add(double value) { values_.push_back(value); }
-  void reserve(std::size_t n) { values_.reserve(n); }
+  void add(double value) {
+    values_.push_back(value);
+    sum_ += value;
+  }
 
   [[nodiscard]] std::size_t count() const noexcept { return values_.size(); }
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
   [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;  // population
   [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
-  /// Linear-interpolated quantile, q in [0,1].  Sorts a copy.
+  /// Linear-interpolated quantile, q in [0,1]: the value a full sort
+  /// would give, bit for bit.  Selects on a copy.
   [[nodiscard]] double quantile(double q) const;
+  /// quantile(q) selected in place, with no copy: reorders the stored
+  /// values (count, mean, min and max are unaffected).
+  [[nodiscard]] double quantile_in_place(double q);
   [[nodiscard]] double median() const { return quantile(0.5); }
 
-  [[nodiscard]] const std::vector<double>& values() const noexcept { return values_; }
-  void clear() noexcept { values_.clear(); }
+  /// The stored values, in insertion order until quantile_in_place.
+  [[nodiscard]] const ChunkedArray<double>& values() const noexcept { return values_; }
+  void clear() noexcept {
+    values_.clear();
+    sum_ = 0.0;
+  }
 
  private:
-  std::vector<double> values_;
+  ChunkedArray<double> values_;
+  double sum_ = 0.0;
 };
 
 /// Population standard deviation of an arbitrary range of doubles.

@@ -3,12 +3,14 @@
 // knob table's canonical-text oracle test.
 #pragma once
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/protocol.hpp"
+#include "core/simulation_runner.hpp"
 
 namespace caem::test_support {
 
@@ -16,6 +18,7 @@ struct GoldenCell {
   std::string key;
   core::NetworkConfig config;
   core::Protocol protocol;
+  core::RunOptions options;
 };
 
 // Paper trio plus caem-deadline x fading x mobility x radio range x SNR
@@ -45,13 +48,51 @@ inline std::vector<GoldenCell> golden_matrix() {
             std::ostringstream key;
             key << to_string(protocol) << '/' << fading << '/' << mobility << "/range"
                 << range_m << "/cache" << (cache ? 1 : 0);
-            cells.push_back({key.str(), config, protocol});
+            core::RunOptions options;
+            options.max_sim_s = 20.0;
+            cells.push_back({key.str(), config, protocol, options});
           }
         }
       }
     }
   }
   return cells;
+}
+
+// The fig9_fast scenario's cells (examples/scenarios/fig9_fast.scn):
+// the paper trio at 5 and 15 pkt/s, 100 nodes, run to extinction or
+// 200 s.  Ten 20 s rounds re-resolve the same member->CH pairs long
+// after their Links were evicted to memos.
+inline std::vector<GoldenCell> golden_fig9_fast_cells() {
+  std::vector<GoldenCell> cells;
+  for (const double rate : {5.0, 15.0}) {
+    for (const core::Protocol& protocol : core::paper_protocols()) {
+      core::NetworkConfig config;
+      config.traffic_rate_pps = rate;
+      core::RunOptions options;
+      options.max_sim_s = 200.0;
+      options.run_to_death = true;
+      std::ostringstream key;
+      key << "fig9_fast/" << to_string(protocol) << "/rate" << rate;
+      cells.push_back({key.str(), config, protocol, options});
+    }
+  }
+  return cells;
+}
+
+// One city-scale cell: 2,000 nodes at the paper's density with a 150 m
+// radio range (the spatial grid and the range-cut link path), Poisson
+// load, 61 s: four rounds, whose boundaries evict and re-resolve pairs.
+inline std::vector<GoldenCell> golden_city_cells() {
+  core::NetworkConfig config;
+  config.node_count = 2000;
+  config.field_size_m = 100.0 * std::sqrt(2000.0 / 100.0);
+  config.traffic_kind = "poisson";
+  config.traffic_rate_pps = 1.0;
+  config.channel.radio_range_m = 150.0;
+  core::RunOptions options;
+  options.max_sim_s = 61.0;
+  return {{"city/2000/range150", config, core::protocol_from_string("caem-scheme1"), options}};
 }
 
 }  // namespace caem::test_support

@@ -1,10 +1,13 @@
-// Tests for util::RingBuffer and util::TableWriter.
+// Tests for util::RingBuffer, util::ChunkedArray and util::TableWriter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <sstream>
 
+#include "util/chunked_array.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/table_writer.hpp"
@@ -132,6 +135,44 @@ TEST(RingBuffer, StorageGrowsOnDemandAndClearFreesIt) {
   EXPECT_TRUE(buffer.empty());
   EXPECT_TRUE(buffer.try_push(7));
   EXPECT_EQ(buffer.front(), 7);
+}
+
+// Storage follows what the buffer holds now, not its high-water mark:
+// a pop that leaves it a quarter full halves the block (never below the
+// initial four slots), order intact.
+TEST(RingBuffer, StorageShrinksWhenAQuarterFull) {
+  RingBuffer<int> buffer(50);
+  for (int i = 0; i < 50; ++i) EXPECT_TRUE(buffer.try_push(i));
+  EXPECT_EQ(buffer.allocated(), 50u);
+  int expected = 0;
+  while (buffer.size() > 12) EXPECT_EQ(buffer.pop(), expected++);
+  EXPECT_EQ(buffer.allocated(), 25u);
+  while (buffer.size() > 1) EXPECT_EQ(buffer.pop(), expected++);
+  EXPECT_EQ(buffer.allocated(), 4u);
+  EXPECT_EQ(buffer.pop(), expected++);
+  EXPECT_EQ(buffer.allocated(), 4u);
+  EXPECT_EQ(expected, 50);
+}
+
+// Across several chunks: indexing, iteration in insertion order, stable
+// addresses, in-place <algorithm> use, and clear.
+TEST(ChunkedArray, AppendsAcrossChunksWithStableAddresses) {
+  ChunkedArray<std::uint64_t> array;
+  EXPECT_TRUE(array.empty());
+  const std::uint64_t n = 10'000;  // 4,096 per 32 KiB chunk: three chunks
+  array.push_back(0);
+  const std::uint64_t* first = &array[0];
+  for (std::uint64_t i = 1; i < n; ++i) array.push_back((i * 7919) % n);
+  EXPECT_EQ(array.size(), n);
+  EXPECT_EQ(&array[0], first);
+  std::uint64_t i = 0;
+  for (const std::uint64_t value : array) EXPECT_EQ(value, (i++ * 7919) % n);
+  EXPECT_EQ(array.end() - array.begin(), static_cast<std::ptrdiff_t>(n));
+  std::sort(array.begin(), array.end());  // a permutation of 0..n-1
+  for (std::uint64_t k = 0; k < n; ++k) ASSERT_EQ(array[k], k);
+  array.clear();
+  EXPECT_TRUE(array.empty());
+  EXPECT_EQ(array.begin(), array.end());
 }
 
 TEST(TableWriter, AlignsColumns) {

@@ -8,6 +8,7 @@
 
 #include "channel/link.hpp"
 #include "channel/link_manager.hpp"
+#include "channel/shadowing.hpp"
 #include "sim/rng_registry.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -66,7 +67,7 @@ TEST_F(LinkTest, Reciprocity) {
   Link& ab = links_.link(a, b);
   Link& ba = links_.link(b, a);
   EXPECT_EQ(&ab, &ba);  // one shared process: G_ab == G_ba by construction
-  EXPECT_EQ(links_.live_link_count(), 1u);
+  EXPECT_EQ(links_.pair_count(), 1u);
 }
 
 TEST_F(LinkTest, DistinctPairsDistinctProcesses) {
@@ -77,7 +78,7 @@ TEST_F(LinkTest, DistinctPairsDistinctProcesses) {
   const double ab = links_.snr_db(a, b, 1.0, budget_);
   const double ac = links_.snr_db(a, c, 1.0, budget_);
   EXPECT_NE(ab, ac);
-  EXPECT_EQ(links_.live_link_count(), 2u);
+  EXPECT_EQ(links_.pair_count(), 2u);
 }
 
 TEST_F(LinkTest, DistanceTracked) {
@@ -117,11 +118,11 @@ TEST(LinkRange, OutOfRangePairsNeverMaterialise) {
 
   EXPECT_FALSE(links.in_range(a, b, 0.0));
   EXPECT_EQ(links.snr_db(a, b, 0.0, budget), kOutOfRangeSnrDb);
-  EXPECT_EQ(links.live_link_count(), 0u);  // no Link was created
+  EXPECT_EQ(links.pair_count(), 0u);  // no Link was created
 
   EXPECT_TRUE(links.in_range(a, c, 0.0));
   EXPECT_TRUE(std::isfinite(links.snr_db(a, c, 0.0, budget)));
-  EXPECT_EQ(links.live_link_count(), 1u);
+  EXPECT_EQ(links.pair_count(), 1u);
 }
 
 TEST(LinkRange, BoundaryIsInclusiveAndZeroMeansUnlimited) {
@@ -175,7 +176,7 @@ TEST(LinkPool, ReferencesStableAcrossTableGrowth) {
   for (NodeId a = 0; a < 40; ++a) {
     for (NodeId b = a + 1; b < 40; ++b) (void)links.link(a, b);
   }
-  EXPECT_EQ(links.live_link_count(), 40u * 39u / 2u);
+  EXPECT_EQ(links.pair_count(), 40u * 39u / 2u);
   EXPECT_EQ(&links.link(0, 1), &first);
   EXPECT_DOUBLE_EQ(first.distance_m_at(0.0), d0);
 }
@@ -220,9 +221,9 @@ std::vector<double> round_queries(int round) {
 class RoundLinkRelease
     : public ::testing::TestWithParam<std::tuple<FadingKind, bool /*snr cache*/>> {};
 
-// A link whose stateless fading model is released at every round end
-// and re-derived at the next resolution must answer exactly what a link
-// that was never released answers; block fading is never released.
+// A stateless-fading link evicted at every round end and rebuilt from
+// its memo at the next resolution must answer exactly what a link that
+// was never evicted answers; block fading is never evicted.
 TEST_P(RoundLinkRelease, ReleasedLinksMatchNeverReleasedOnes) {
   const auto [kind, cache] = GetParam();
   ChannelConfig config;
@@ -246,14 +247,15 @@ TEST_P(RoundLinkRelease, ReleasedLinksMatchNeverReleasedOnes) {
       ASSERT_EQ(handle.snr_db(t), resident.snr_db(0, peer, t, budget))
           << "round " << round << " t " << t;
     }
-    EXPECT_EQ(released.resident_fading_count(), stateless ? 1u : released.live_link_count());
+    EXPECT_EQ(released.resident_link_count(), stateless ? 1u : released.pair_count());
     handle.release();
-    EXPECT_EQ(released.resident_fading_count(), stateless ? 0u : released.live_link_count());
-    EXPECT_EQ(released.link(0, peer).has_fading(), true);  // link() re-derives
-    released.release_fading(released.link(0, peer));
+    EXPECT_EQ(released.resident_link_count(), stateless ? 0u : released.pair_count());
+    (void)released.link(0, peer);  // link() rebuilds an evicted pair
+    EXPECT_EQ(released.resident_link_count(), stateless ? 1u : released.pair_count());
+    released.release(0, peer);
     EXPECT_EQ(handle.snr_db(round * 2.0 + 1.0), kOutOfRangeSnrDb);  // unbound after release
   }
-  EXPECT_EQ(released.live_link_count(), 2u);
+  EXPECT_EQ(released.pair_count(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -265,6 +267,105 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_cached" : "_exact");
     });
+
+// Memo oracle: a member's CH changes every round, so each pair is
+// evicted at round close and re-resolved one to three rounds later,
+// under every fading kind and both mobility models.  Its SNR series
+// must match, bit for bit, a manager whose Links are never evicted; and
+// the memoising manager holds at most the round's one Link.
+class LinkMemoOracle
+    : public ::testing::TestWithParam<std::tuple<FadingKind, bool /*waypoint*/>> {};
+
+TEST_P(LinkMemoOracle, EvictedPairsReplayTheNeverEvictedSeries) {
+  const auto [kind, waypoint] = GetParam();
+  ChannelConfig config;
+  config.fading_kind = kind;
+  const LinkBudget budget{0.0, -101.0};
+  sim::RngRegistry rng_memo(2005);
+  sim::RngRegistry rng_resident(2005);
+  LinkManager memo(config, &rng_memo);
+  LinkManager resident(config, &rng_resident);
+  for (LinkManager* links : {&memo, &resident}) {
+    for (int i = 0; i < 4; ++i) {
+      if (waypoint) {
+        links->add_node(std::make_unique<RandomWaypoint>(
+            Vec2{0, 0}, Vec2{60, 60}, 0.5, 2.0, 1.0,
+            util::Rng(99, "mobility/" + std::to_string(i))));
+      } else {
+        links->add_static_node({15.0 * i, 10.0 * (i % 2)});
+      }
+    }
+  }
+  RoundLink handle(&memo, 0, &budget);
+  const bool stateless = kind != FadingKind::kBlock;
+  const NodeId peers[] = {1, 2, 1, 3, 3, 2, 1, 3, 1, 2, 2, 1};  // gaps of 1 to 3 rounds
+  for (int round = 0; round < static_cast<int>(std::size(peers)); ++round) {
+    handle.bind(peers[round]);
+    // 37 to 40 queries: a pair is evicted after odd and even draw counts.
+    std::vector<double> times = round_queries(round);
+    times.resize(37 + round % 4);
+    for (const double t : times) {
+      ASSERT_EQ(handle.snr_db(t), resident.snr_db(0, peers[round], t, budget))
+          << "round " << round << " t " << t;
+    }
+    EXPECT_EQ(memo.resident_link_count(), stateless ? 1u : memo.pair_count());
+    handle.release();
+    EXPECT_EQ(memo.resident_link_count(), stateless ? 0u : memo.pair_count());
+  }
+  EXPECT_EQ(memo.pair_count(), 3u);
+  EXPECT_EQ(resident.resident_link_count(), 3u);  // never released
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, LinkMemoOracle,
+    ::testing::Combine(::testing::Values(FadingKind::kJakesRayleigh, FadingKind::kRician,
+                                         FadingKind::kBlock),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_waypoint" : "_static");
+    });
+
+TEST(LinkMemo, ShadowingResumesFromItsHistory) {
+  // Park a process mid-stream (the count of drawn variates alternates
+  // between odd, with a cached Box-Muller mate, and even) and resume it
+  // in a fresh process on the same stream.
+  GaussMarkovShadowing original(4.0, 3.0, util::Rng(7, "shadow/0-1"));
+  for (int step = 0; step < 9; ++step) {
+    (void)original.value_db(step * 0.4);
+    EXPECT_EQ(original.history().draws, static_cast<std::uint64_t>(step + 1));
+    GaussMarkovShadowing rebuilt(4.0, 3.0, util::Rng(7, "shadow/0-1"));
+    rebuilt.resume(original.history());
+    GaussMarkovShadowing twin = original;
+    for (double t = step * 0.4; t < step * 0.4 + 5.0; t += 0.3) {
+      ASSERT_EQ(rebuilt.value_db(t), twin.value_db(t)) << "step " << step << " t " << t;
+    }
+  }
+  // A process that never drew has no history: resuming keeps it fresh.
+  GaussMarkovShadowing fresh(4.0, 3.0, util::Rng(7, "shadow/0-1"));
+  GaussMarkovShadowing resumed(4.0, 3.0, util::Rng(7, "shadow/0-1"));
+  resumed.resume(resumed.history());
+  EXPECT_EQ(resumed.value_db(1.0), fresh.value_db(1.0));
+}
+
+TEST(LinkMemo, DiscardNormalsLandsWhereNormalCallsDo) {
+  for (std::uint64_t skip = 0; skip < 7; ++skip) {
+    for (const int lead : {0, 1}) {  // start with and without a cached variate
+      util::Rng called(11, "discard");
+      util::Rng skipped(11, "discard");
+      for (int i = 0; i < lead; ++i) {
+        (void)called.normal();
+        (void)skipped.normal();
+      }
+      for (std::uint64_t i = 0; i < skip; ++i) (void)called.normal();
+      skipped.discard_normals(skip);
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(called.normal(), skipped.normal()) << "skip " << skip << " lead " << lead;
+      }
+      EXPECT_EQ(called.next(), skipped.next());
+    }
+  }
+}
 
 TEST(RoundLink, OutOfRangeStaticMemberMaterialisesNoLink) {
   sim::RngRegistry rng(3);
@@ -281,12 +382,12 @@ TEST(RoundLink, OutOfRangeStaticMemberMaterialisesNoLink) {
   handle.bind(far_ch);
   for (double t = 0.0; t < 2.0; t += 0.1) EXPECT_EQ(handle.snr_db(t), kOutOfRangeSnrDb);
   handle.release();
-  EXPECT_EQ(links.live_link_count(), 0u);
+  EXPECT_EQ(links.pair_count(), 0u);
 
   handle.bind(near_ch);
-  EXPECT_EQ(links.live_link_count(), 0u);  // resolved at the first query, not at bind
+  EXPECT_EQ(links.pair_count(), 0u);  // resolved at the first query, not at bind
   EXPECT_TRUE(std::isfinite(handle.snr_db(2.0)));
-  EXPECT_EQ(links.live_link_count(), 1u);
+  EXPECT_EQ(links.pair_count(), 1u);
 }
 
 TEST(RoundLink, MobilePairKeepsThePerQueryRangeTest) {

@@ -221,10 +221,10 @@ TEST(Network, SchemeTwoStarvesFarNodesWithoutAdaptation) {
   EXPECT_GT(fixed.mean_queue_stddev, adaptive.mean_queue_stddev);
 }
 
-// Round-scoped channel state: with a stateless fading model the fading
-// objects held in memory never outnumber the current round's members
-// (every round end releases them), and the links themselves are only
-// ever member->CH pairs that were queried.
+// Round-scoped channel state: with a stateless fading model the Links
+// (and fading tables) held in memory never outnumber the current round's
+// members, since every round end evicts them to their memos; the links
+// themselves are only ever member->CH pairs that were queried.
 TEST(Network, ResidentFadingStaysWithinTheRoundsMembers) {
   for (const char* fading : {"jakes", "rician"}) {
     NetworkConfig config = small_config();
@@ -236,17 +236,45 @@ TEST(Network, ResidentFadingStaysWithinTheRoundsMembers) {
     for (double t = 0.01; t < 40.0; t += config.round_duration_s / 3.0) {
       network.simulator().run_until(t);
       const Network::ChannelResidency residency = network.channel_residency();
-      EXPECT_LE(residency.resident_fading, residency.round_members) << fading << " t " << t;
+      EXPECT_LE(residency.resident_links, residency.round_members) << fading << " t " << t;
       EXPECT_GT(residency.round_members, 0u) << fading << " t " << t;
-      peak_resident = std::max(peak_resident, residency.resident_fading);
+      peak_resident = std::max(peak_resident, residency.resident_links);
     }
     const Network::ChannelResidency before_close = network.channel_residency();
     EXPECT_GT(peak_resident, 0u) << fading;
-    EXPECT_GT(before_close.links, peak_resident) << fading;  // rounds used other pairs
+    // Rounds used other pairs, which now wait as memos.
+    EXPECT_GT(before_close.resident_links + before_close.memoised_pairs, peak_resident) << fading;
     network.finalize();
-    EXPECT_EQ(network.channel_residency().resident_fading, 0u) << fading;
+    EXPECT_EQ(network.channel_residency().resident_links, 0u) << fading;
     EXPECT_EQ(network.channel_residency().round_members, 0u) << fading;
   }
+}
+
+// The same bound on a ranged field with moving nodes, checked at every
+// round boundary: just before the boundary the round's Links are all
+// resident (at most one per member), just after it the old round's are
+// memos and the new round has resolved at most its own members' pairs.
+TEST(Network, ResidentLinksStayWithinRoundMembersAtEveryBoundary) {
+  NetworkConfig config = small_config();
+  config.node_count = 60;
+  config.field_size_m = 120.0;
+  config.mobility_kind = "waypoint";
+  config.channel.radio_range_m = 60.0;
+  Network network(config, protocol_from_string("scheme1"), 4);
+  network.start();
+  std::size_t peak_memoised = 0;
+  for (int boundary = 1; boundary <= 8; ++boundary) {
+    for (const double offset : {-1e-6, 1e-6}) {
+      network.simulator().run_until(boundary * config.round_duration_s + offset);
+      const Network::ChannelResidency residency = network.channel_residency();
+      EXPECT_LE(residency.resident_links, residency.round_members)
+          << "boundary " << boundary << " offset " << offset;
+      peak_memoised = std::max(peak_memoised, residency.memoised_pairs);
+    }
+  }
+  EXPECT_GT(peak_memoised, 0u);
+  network.finalize();
+  EXPECT_EQ(network.channel_residency().resident_links, 0u);
 }
 
 TEST(Network, BlockFadingStaysResident) {
@@ -257,8 +285,8 @@ TEST(Network, BlockFadingStaysResident) {
   network.simulator().run_until(30.0);
   network.finalize();
   const Network::ChannelResidency residency = network.channel_residency();
-  EXPECT_GT(residency.links, 0u);
-  EXPECT_EQ(residency.resident_fading, residency.links);  // sequential draws: never released
+  EXPECT_GT(residency.resident_links, 0u);
+  EXPECT_EQ(residency.memoised_pairs, 0u);  // sequential draws: never evicted
 }
 
 }  // namespace

@@ -191,6 +191,32 @@ TEST(Spec, CliOverridesReplaceAxesAndFields) {
                std::invalid_argument);
 }
 
+// A bad value anywhere on any axis is rejected when the spec is built,
+// not only on the first axis value (which alone was checked before), and
+// the error names the value.
+TEST(Spec, EveryAxisValueIsValidated) {
+  const auto rejects = [](const std::string& text, const std::string& cli,
+                          const std::string& named) {
+    try {
+      ScenarioSpec spec = ScenarioSpec::from_config(util::Config::from_text(text));
+      spec.apply_cli_overrides(util::Config::from_args({cli}));
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(named), std::string::npos) << error.what();
+      return true;
+    }
+    return false;
+  };
+  const std::string two_axes = "sweep.traffic_rate_pps = list:5,15\n";
+  EXPECT_TRUE(rejects(two_axes, "sweep.traffic_kind=list:poisson,bogus", "bogus"));
+  EXPECT_TRUE(rejects(two_axes, "sweep.traffic_kind=list:bogus,poisson", "bogus"));
+  // The bad value sits on the later axis of the sorted pair, past its first value.
+  EXPECT_TRUE(rejects("sweep.node_count = list:10,20\n",
+                      "sweep.traffic_rate_pps=list:5,15,-3", "traffic_rate_pps"));
+  EXPECT_TRUE(rejects("sweep.node_count = list:10,20,-4\n", "sweep.traffic_rate_pps=list:5",
+                      "node_count"));
+  EXPECT_FALSE(rejects(two_axes, "sweep.traffic_kind=list:poisson,burst", "-"));
+}
+
 TEST(Spec, LoadsFileWithInclude) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "caem_scn_test";

@@ -1,9 +1,14 @@
 // Tests for util::OnlineStats / Sample / helper statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "util/histogram.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time_series.hpp"
 
@@ -84,7 +89,55 @@ TEST(Sample, EmptyIsSafe) {
   Sample sample;
   EXPECT_EQ(sample.mean(), 0.0);
   EXPECT_EQ(sample.quantile(0.5), 0.0);
-  EXPECT_EQ(sample.stddev(), 0.0);
+  EXPECT_EQ(sample.quantile_in_place(0.5), 0.0);
+}
+
+// The quantile code before selection: sort a copy, interpolate.
+double sorted_copy_quantile(const std::vector<double>& values, double q) {
+  if (values.empty()) return 0.0;
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
+}
+
+// Selection (on a copy, and in place) against the sort-a-copy oracle,
+// bit for bit, on samples with many ties; the mean is the insertion-order
+// sum whatever the selection did to the storage order.
+TEST(Sample, SelectionMatchesSortedCopyBitForBit) {
+  Rng rng(2005, "sample-oracle");
+  for (const std::size_t n : {1u, 2u, 3u, 1000u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> values;
+      for (std::size_t i = 0; i < n; ++i) {
+        // A coarse grid makes ties common; the exponential tail does not.
+        values.push_back(rng.bernoulli(0.5) ? std::floor(rng.uniform(0.0, 8.0)) * 0.125
+                                            : rng.exponential_mean(0.3));
+      }
+      double insertion_sum = 0.0;
+      for (const double v : values) insertion_sum += v;
+      for (const double q : {0.0, 0.5, 0.95, 1.0}) {
+        Sample sample;
+        for (const double v : values) sample.add(v);
+        const double expected = sorted_copy_quantile(values, q);
+        EXPECT_EQ(bits(sample.quantile(q)), bits(expected)) << "n " << n << " q " << q;
+        EXPECT_EQ(bits(sample.quantile_in_place(q)), bits(expected)) << "n " << n << " q " << q;
+        EXPECT_EQ(bits(sample.quantile_in_place(q)), bits(expected)) << "again, n " << n;
+        EXPECT_EQ(bits(sample.mean()), bits(insertion_sum / static_cast<double>(n)));
+        EXPECT_EQ(sample.count(), n);
+      }
+    }
+  }
 }
 
 TEST(PopulationStddev, MatchesHandComputation) {
