@@ -106,9 +106,4 @@ class BlockRayleighFading final : public FadingModel {
   double current_gain_ = 1.0;
 };
 
-/// Bessel function of the first kind, order zero (Abramowitz & Stegun
-/// 9.4.1/9.4.3 polynomial approximations).  Exposed so property tests can
-/// verify the fading autocorrelation against theory.
-[[nodiscard]] double bessel_j0(double x) noexcept;
-
 }  // namespace caem::channel

@@ -13,7 +13,7 @@ double noise_floor_dbm(double bandwidth_hz, double noise_figure_db) noexcept {
   return util::watts_to_dbm(thermal_w) + noise_figure_db;
 }
 
-Link::Link(const PathLossModel* path_loss, MobilityModel* a, MobilityModel* b,
+Link::Link(const LogDistancePathLoss* path_loss, MobilityModel* a, MobilityModel* b,
            GaussMarkovShadowing shadowing, std::unique_ptr<FadingModel> fading,
            double fading_cache_window_s)
     : path_loss_(path_loss),

@@ -63,7 +63,7 @@ class Link {
   ///     the fading exactly (bit-identical to the uncached code path).
   ///     Path loss and shadowing are always evaluated exactly, so the
   ///     per-link shadowing RNG consumption is independent of this knob.
-  Link(const PathLossModel* path_loss, MobilityModel* a, MobilityModel* b,
+  Link(const LogDistancePathLoss* path_loss, MobilityModel* a, MobilityModel* b,
        GaussMarkovShadowing shadowing, std::unique_ptr<FadingModel> fading,
        double fading_cache_window_s = 0.0);
 
@@ -91,7 +91,7 @@ class Link {
   /// BlockRayleighFading's matching block).
   [[nodiscard]] double fading_db(double time_s);
 
-  const PathLossModel* path_loss_;
+  const LogDistancePathLoss* path_loss_;
   MobilityModel* a_;
   MobilityModel* b_;
   GaussMarkovShadowing shadowing_;

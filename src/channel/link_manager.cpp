@@ -52,10 +52,10 @@ FadingKind fading_kind_from_string(const std::string& name) {
 }
 
 LinkManager::LinkManager(ChannelConfig config, sim::RngRegistry* rng)
-    : config_(config), rng_(rng) {
+    : config_(config),
+      rng_(rng),
+      path_loss_(config_.path_loss_exponent, config_.path_loss_ref_db) {
   if (rng_ == nullptr) throw std::invalid_argument("LinkManager: null RNG registry");
-  path_loss_ = std::make_unique<LogDistancePathLoss>(config_.path_loss_exponent,
-                                                     config_.path_loss_ref_db);
   table_.assign(kInitialTableSize, kNone);
 }
 
@@ -118,7 +118,7 @@ void LinkManager::materialise(PairRecord& pair) {
     pair.link_slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  pool_[pair.link_slot].emplace(path_loss_.get(), nodes_[lo].get(), nodes_[hi].get(),
+  pool_[pair.link_slot].emplace(&path_loss_, nodes_[lo].get(), nodes_[hi].get(),
                                 std::move(shadowing), std::move(fading), cache_window_s);
 }
 

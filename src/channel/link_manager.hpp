@@ -85,6 +85,9 @@ class LinkManager {
  public:
   /// @param rng  registry of the owning run (kept by pointer; must outlive)
   LinkManager(ChannelConfig config, sim::RngRegistry* rng);
+  // Links point at path_loss_, so the manager never moves.
+  LinkManager(const LinkManager&) = delete;
+  LinkManager& operator=(const LinkManager&) = delete;
 
   /// Register a node's (owned) mobility model; returns its NodeId, which
   /// is assigned densely in registration order.
@@ -150,7 +153,7 @@ class LinkManager {
 
   ChannelConfig config_;
   sim::RngRegistry* rng_;
-  std::unique_ptr<PathLossModel> path_loss_;
+  LogDistancePathLoss path_loss_;
   std::vector<std::unique_ptr<MobilityModel>> nodes_;
 
   // Key->pair open-addressed table of indices into pairs_ (kNone =

@@ -1,9 +1,8 @@
 #include "channel/path_loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "util/units.hpp"
 
 namespace caem::channel {
 
@@ -16,32 +15,6 @@ LogDistancePathLoss::LogDistancePathLoss(double exponent, double reference_db, d
 double LogDistancePathLoss::loss_db(double distance_m) const {
   const double d = std::max(distance_m, reference_m_);
   return reference_db_ + 10.0 * exponent_ * std::log10(d / reference_m_);
-}
-
-FreeSpacePathLoss::FreeSpacePathLoss(double carrier_hz) : carrier_hz_(carrier_hz) {
-  if (carrier_hz <= 0.0) throw std::invalid_argument("FreeSpacePathLoss: carrier must be > 0");
-}
-
-double FreeSpacePathLoss::loss_db(double distance_m) const {
-  const double wavelength = util::kSpeedOfLight / carrier_hz_;
-  const double d = std::max(distance_m, wavelength / (4.0 * M_PI));  // avoid gain > 1
-  return 20.0 * std::log10(4.0 * M_PI * d / wavelength);
-}
-
-TwoRayGroundPathLoss::TwoRayGroundPathLoss(double carrier_hz, double tx_height_m,
-                                           double rx_height_m)
-    : free_space_(carrier_hz), tx_height_m_(tx_height_m), rx_height_m_(rx_height_m) {
-  if (tx_height_m <= 0.0 || rx_height_m <= 0.0) {
-    throw std::invalid_argument("TwoRayGroundPathLoss: antenna heights must be > 0");
-  }
-  const double wavelength = util::kSpeedOfLight / carrier_hz;
-  crossover_m_ = 4.0 * M_PI * tx_height_m * rx_height_m / wavelength;
-}
-
-double TwoRayGroundPathLoss::loss_db(double distance_m) const {
-  if (distance_m < crossover_m_) return free_space_.loss_db(distance_m);
-  // PL = 40 log10(d) - 20 log10(ht hr)
-  return 40.0 * std::log10(distance_m) - 20.0 * std::log10(tx_height_m_ * rx_height_m_);
 }
 
 }  // namespace caem::channel

@@ -1,68 +1,29 @@
 // path_loss.hpp — macroscopic (distance-dependent) propagation loss.
 //
 // The paper's channel is "path loss + shadowing + microscopic fading".
-// Path loss is the deterministic distance term; we provide the standard
-// models (log-distance is the default for the 100 m x 100 m sensor field,
-// free-space and two-ray ground for validation and ablations).
+// Path loss is the deterministic distance term: the log-distance model
+// of the 100 m x 100 m sensor field.
 #pragma once
-
-#include <memory>
 
 namespace caem::channel {
 
-/// Interface: loss in dB (positive number) at a transmit-receive distance.
-class PathLossModel {
- public:
-  virtual ~PathLossModel() = default;
-
-  /// Path loss in dB at `distance_m` (>= 0).  Implementations clamp
-  /// distances below their reference distance to the reference value so
-  /// co-located nodes don't produce negative loss.
-  [[nodiscard]] virtual double loss_db(double distance_m) const = 0;
-};
-
-/// Log-distance model: PL(d) = PL(d0) + 10 n log10(d/d0).
-class LogDistancePathLoss final : public PathLossModel {
+/// Log-distance model: PL(d) = PL(d0) + 10 n log10(d/d0), in dB.
+class LogDistancePathLoss {
  public:
   /// @param exponent       path-loss exponent n (2 free space .. 4 obstructed)
   /// @param reference_db   loss at the reference distance
   /// @param reference_m    reference distance d0
   LogDistancePathLoss(double exponent, double reference_db, double reference_m = 1.0);
 
-  [[nodiscard]] double loss_db(double distance_m) const override;
-
-  [[nodiscard]] double exponent() const noexcept { return exponent_; }
+  /// Path loss in dB (a positive number) at `distance_m` (>= 0);
+  /// distances below d0 clamp to d0, so co-located nodes never see a
+  /// negative loss.
+  [[nodiscard]] double loss_db(double distance_m) const;
 
  private:
   double exponent_;
   double reference_db_;
   double reference_m_;
-};
-
-/// Free-space (Friis) model at a carrier frequency.
-class FreeSpacePathLoss final : public PathLossModel {
- public:
-  explicit FreeSpacePathLoss(double carrier_hz);
-  [[nodiscard]] double loss_db(double distance_m) const override;
-
- private:
-  double carrier_hz_;
-};
-
-/// Two-ray ground-reflection model with a free-space near region below
-/// the crossover distance.
-class TwoRayGroundPathLoss final : public PathLossModel {
- public:
-  TwoRayGroundPathLoss(double carrier_hz, double tx_height_m, double rx_height_m);
-  [[nodiscard]] double loss_db(double distance_m) const override;
-
-  [[nodiscard]] double crossover_distance_m() const noexcept { return crossover_m_; }
-
- private:
-  FreeSpacePathLoss free_space_;
-  double tx_height_m_;
-  double rx_height_m_;
-  double crossover_m_;
 };
 
 }  // namespace caem::channel

@@ -230,7 +230,10 @@ std::string NetworkConfig::canonical_text() const {
   // changes, model fixes) even though no config or RunResult field
   // moved — it feeds the digest, so existing result-cache directories
   // invalidate structurally instead of serving pre-change numbers.
-  out += "sim-semantics=1\n";
+  // Version 2 books a packet that leaves its CH as delivered only once
+  // every leg of its uplink is paid for; only configs whose packets
+  // leave the CH render it, so every other digest holds.
+  out += routed || ch_forward_enabled ? "sim-semantics=2\n" : "sim-semantics=1\n";
   for (const Knob& knob : knobs()) {
     if (knob.routing_block && !routed) continue;
     out.append(knob.key).append("=").append(knob.text(*this)) += '\n';

@@ -14,19 +14,17 @@
 #include "channel/link.hpp"
 #include "channel/link_manager.hpp"
 #include "energy/power_state.hpp"
-#include "energy/uplink_energy_model.hpp"
 #include "mac/backoff.hpp"
 #include "mac/burst_policy.hpp"
 #include "util/config.hpp"
 
 namespace caem::core {
 
-/// Multi-hop uplink routing knobs.  All-default values mean "the legacy
-/// single-hop uplink": the network takes the exact pre-routing code
-/// path and canonical_text() renders the legacy caem-config-v2 text, so
-/// existing digests, cache entries and artifacts are untouched.  Any
-/// non-default field switches the rendering to caem-config-v3 with a
-/// routing block appended.
+/// Multi-hop uplink routing knobs.  All-default values mean one leg
+/// straight to the virtual sink, and canonical_text() renders the
+/// caem-config-v2 text without them, so existing digests and cache
+/// entries hold.  Any non-default field switches the rendering to
+/// caem-config-v3 with a routing block appended.
 struct UplinkRoutingConfig {
   /// Path selection: "direct" (one leg), "greedy" (greedy-geographic
   /// with the UtilCache cost/benefit rule) or "chain" (CH->CH
@@ -104,9 +102,11 @@ struct NetworkConfig {
 
   // ---- extensions (off by default; not part of the paper's evaluation) ----
   /// CH -> base station forwarding (paper Fig 1's uplink, which the
-  /// evaluation explicitly defers).  When enabled, every aggregated
-  /// packet costs the CH first-order radio energy
-  /// (e_elec + eps_amp * d_bs^2 per bit), the classic LEACH model.
+  /// evaluation explicitly defers).  When enabled, a packet that reaches
+  /// its CH is delivered only once the CH has paid to send the
+  /// aggregate on to the sink: first-order radio energy
+  /// (e_elec + eps_amp * d^2 per bit, the classic LEACH model) per leg
+  /// of the routing.* uplink.  A CH that cannot pay drops the packet.
   bool ch_forward_enabled = false;
   double bs_distance_m = 120.0;       ///< CH-to-base-station distance
   double fwd_e_elec_j_per_bit = 50e-9;
@@ -115,7 +115,7 @@ struct NetworkConfig {
 
   /// Multi-hop uplink routing (see UplinkRoutingConfig).  Setting any
   /// routing.* knob — or a protocol spec carrying a routing/energy
-  /// factory — activates the routed uplink path: hop chains executed
+  /// factory — sends every packet on from its CH: hop chains executed
   /// per packet, per-leg energy at true pairwise distance, unreachable
   /// packets booked as drops.
   UplinkRoutingConfig routing{};
@@ -142,16 +142,6 @@ struct NetworkConfig {
 
   /// Link budget implied by the RF parameters.
   [[nodiscard]] channel::LinkBudget link_budget() const noexcept;
-
-  /// First-order radio cost of one bit on the long haul to the base
-  /// station (classic LEACH model: e_elec + eps_amp * d_bs^2).  The ONE
-  /// formula both CH forwarding and the clusterless direct uplink
-  /// charge — it delegates to the shared energy::first_order_j_per_bit
-  /// helper, so the constants live in exactly one expression.
-  [[nodiscard]] double bs_uplink_j_per_bit() const noexcept {
-    return energy::first_order_j_per_bit(fwd_e_elec_j_per_bit, fwd_eps_amp_j_per_bit_m2,
-                                         bs_distance_m);
-  }
 
   /// Throw std::invalid_argument on inconsistent values.
   void validate() const;

@@ -20,11 +20,13 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
   const ProtocolSpec& spec = protocol_.spec();
   if (spec.clustering) clustering_ = spec.clustering(config_);
 
-  // Routed uplink activates when the spec carries a routing or energy
-  // factory OR any routing.* knob is non-default; otherwise the run
-  // takes the legacy single-hop path untouched (byte-identical
-  // artifacts for all pre-routing configs — a tested contract).
-  if (spec.routing || spec.uplink_energy || config_.routing != UplinkRoutingConfig{}) {
+  // The CH is the sink (the paper's evaluation) unless packets leave
+  // it: a clusterless protocol, CH forwarding, a spec routing or energy
+  // factory, or a non-default routing.* knob builds the uplink, and then
+  // every packet leaving a CH or a clusterless sensor goes through
+  // route_uplink.
+  if (!clustering_ || config_.ch_forward_enabled || spec.routing || spec.uplink_energy ||
+      config_.routing != UplinkRoutingConfig{}) {
     routing_ = spec.routing ? spec.routing(config_)
                             : routing::make_routing_strategy(config_.routing.kind,
                                                              config_.routing.max_hops);
@@ -36,7 +38,9 @@ Network::Network(NetworkConfig config, Protocol protocol, std::uint64_t seed)
     sink_.geometric = config_.routing.has_geometric_sink();
     sink_.position = channel::Vec2{config_.routing.sink_x_m, config_.routing.sink_y_m};
     sink_.fixed_distance_m = config_.bs_distance_m;
-    sink_.range_m = config_.channel.radio_range_m;
+    // radio_range_m bounds the in-field radio; the virtual sink stands
+    // for the long-haul link at bs_distance_m, which it does not bound.
+    if (sink_.geometric) sink_.range_m = config_.channel.radio_range_m;
   }
 
   // Place nodes uniformly in the square field and build them.  The hot
@@ -199,17 +203,13 @@ void Network::begin_round(double now_s) {
     active.mac->set_delivery_callback(
         [this, head_id](const queueing::Packet& packet, phy::ModeIndex mode,
                         std::uint32_t /*sender*/, double now) {
+          // With an uplink, arrival at the CH is not delivery: the
+          // aggregate still has to pay its way to the sink.
           if (routing_) {
-            // Routed uplink subsumes ch_forward_enabled: arrival at the
-            // CH is not delivery — the aggregate still has to traverse
-            // the hop chain to the sink, and only end-of-chain success
-            // books record_delivered (a failed chain books a drop, so a
-            // packet can never count both ways).
             route_uplink(head_id, packet, uplink_energy_->aggregated_bits(packet.payload_bits),
                          mode, now);
           } else {
             metrics_.record_delivered(packet, mode, now);
-            if (config_.ch_forward_enabled) charge_forwarding(head_id, packet, now);
           }
         });
     active.mac->start(now_s);
@@ -248,14 +248,10 @@ void Network::handle_arrival(std::uint32_t id, double now_s) {
   metrics_.record_generated(id, now_s);
 
   if (!clustering_) {
-    // Clusterless protocol: the sensor uplinks straight to the sink
-    // (routed runs plan a chain — with no CHs it degenerates to one
-    // leg, but range and the pluggable cost model still apply).
-    if (routing_) {
-      route_uplink(id, packet, packet.payload_bits, 0, now_s);
-    } else {
-      deliver_direct(node, packet, now_s);
-    }
+    // Clusterless protocol: the sensor uplinks its raw observation
+    // (there are no CHs to relay through), booked under the most robust
+    // mode class.
+    route_uplink(id, packet, packet.payload_bits, 0, now_s);
   } else if (node.is_cluster_head()) {
     // The CH aggregates its own observation locally: no radio involved.
     metrics_.record_self_delivered(packet, now_s);
@@ -267,39 +263,7 @@ void Network::handle_arrival(std::uint32_t id, double now_s) {
   schedule_arrival(id);
 }
 
-// Direct-to-sink uplink (clusterless protocols): the node transmits the
-// whole packet straight to the base station under the same first-order
-// radio model as CH forwarding, but unaggregated — sensors send raw
-// observations.  The uplink is contention-free (every node owns its
-// slot toward the sink), so delivery always succeeds while the battery
-// lasts; delivered_per_mode books it under the most robust class (the
-// long-haul link).
-void Network::deliver_direct(Node& node, const queueing::Packet& packet, double now_s) {
-  const double cost_j = packet.payload_bits * config_.bs_uplink_j_per_bit();
-  const bool funded = node.battery().remaining_j() >= cost_j;
-  // The transmission spends whatever charge is left either way (an
-  // underfunded one kills the node), but only a fully funded uplink
-  // reaches the sink — the dying node's final packet is lost in flight,
-  // like the clustered path's mid-transmission deaths.
-  if (funded) metrics_.record_delivered(packet, 0, now_s);
-  const double drawn = node.battery().drain(cost_j, now_s);
-  node.ledger().add(energy::RadioId::kData, energy::RadioState::kTx, drawn);
-  if (!funded) metrics_.record_drop(packet, queueing::DropReason::kNodeDeath, now_s);
-}
-
-// CH -> base station forwarding cost (extension): first-order radio
-// model, charged per aggregated bit against the CH's battery/ledger.
-void Network::charge_forwarding(std::uint32_t head_id, const queueing::Packet& packet,
-                                double now_s) {
-  Node& head = *nodes_.at(head_id);
-  if (!head.alive()) return;
-  const double bits = packet.payload_bits * config_.aggregation_ratio;
-  const double joules = bits * config_.bs_uplink_j_per_bit();
-  const double drawn = head.battery().drain(joules, now_s);
-  head.ledger().add(energy::RadioId::kData, energy::RadioState::kTx, drawn);
-}
-
-// ----------------------------------------------------------- routed uplink
+// ------------------------------------------------------------------ uplink
 
 void Network::rebuild_relays(const std::vector<leach::Cluster>& clusters) {
   // The round's CHs are the relay candidates; positions come from the
@@ -334,15 +298,15 @@ bool Network::spend_rx(std::uint32_t id, double bits, double now_s) {
   return funded;
 }
 
-// Execute one routed uplink: plan the hop chain, then walk it leg by
-// leg charging true pairwise distances through the uplink energy model.
-// Contract (mirrors the direct-uplink rule): a packet is delivered iff
-// EVERY leg was fully funded — an underfunded transmit or relay receive
-// kills that node (drain clamps and fires the death callback) and the
-// packet books as a kNodeDeath drop, lost in flight.  A relay found
-// dead before its leg re-plans from the current holder; when no chain
-// can reach the sink the packet books as kUnreachable.  Never both, and
-// never a free delivery.
+// Execute one uplink: plan the hop chain, then walk it leg by leg
+// charging true pairwise distances through the uplink energy model.
+// The one delivery rule: a packet is delivered iff EVERY leg was fully
+// funded — an underfunded transmit or relay receive kills that node
+// (drain clamps and fires the death callback) and the packet books as a
+// kNodeDeath drop, lost in flight.  A relay found dead before its leg
+// re-plans from the current holder; when no chain can reach the sink
+// the packet books as kUnreachable.  Never both, and never a free
+// delivery.
 void Network::route_uplink(std::uint32_t origin, const queueing::Packet& packet, double bits,
                            phy::ModeIndex mode, double now_s) {
   if (!hot_.alive[origin]) {

@@ -84,13 +84,13 @@ class Network {
   /// only after finalize()).
   [[nodiscard]] std::uint64_t collisions_total() const noexcept { return collisions_total_; }
 
-  /// Relay legs executed on routed uplinks (0 on the legacy path and
-  /// for DirectUplink — the routed-direct bench relies on that).
+  /// Relay legs executed on uplinks (0 for DirectUplink).
   [[nodiscard]] std::uint64_t relay_hops_total() const noexcept { return relay_hops_total_; }
 
-  /// Whether this run executes the routed uplink path (the protocol
-  /// spec carries a routing/energy factory, or any routing.* knob is
-  /// non-default).  False = the legacy byte-identical fast path.
+  /// Whether packets leave the CH, so every delivery goes through
+  /// route_uplink: a clusterless protocol, ch_forward_enabled, a spec
+  /// routing/energy factory or a non-default routing.* knob.  False =
+  /// the CH is the sink.
   [[nodiscard]] bool routed_uplink() const noexcept { return routing_ != nullptr; }
 
   /// Sum of all nodes' MAC counters (diagnostics, ablation benches).
@@ -140,10 +140,9 @@ class Network {
   void schedule_arrival(std::uint32_t id);
   void handle_arrival(std::uint32_t id, double now_s);
   void handle_node_death(std::uint32_t id, double now_s);
-  void charge_forwarding(std::uint32_t head_id, const queueing::Packet& packet, double now_s);
-  void deliver_direct(Node& node, const queueing::Packet& packet, double now_s);
-  /// Routed uplink: plan the hop chain from `origin` and execute it leg
-  /// by leg (per-hop energy/death booking; see network.cpp).
+  /// Plan the hop chain from `origin` and execute it leg by leg, booking
+  /// the packet delivered only if every leg was paid for (see
+  /// network.cpp).
   void route_uplink(std::uint32_t origin, const queueing::Packet& packet, double bits,
                     phy::ModeIndex mode, double now_s);
   /// Charge one transmit/receive leg against a node.  Returns whether
@@ -174,7 +173,7 @@ class Network {
   /// Built from the protocol spec's clustering factory; null for
   /// clusterless protocols (direct uplink — no rounds, no CHs).
   std::unique_ptr<leach::ClusteringStrategy> clustering_;
-  /// Routed-uplink machinery; all null/empty on the legacy fast path.
+  /// Uplink machinery; all null/empty while the CH is the sink.
   /// routing_ doubles as the activation flag (see routed_uplink()).
   std::unique_ptr<routing::RoutingStrategy> routing_;
   std::unique_ptr<energy::UplinkEnergyModel> uplink_energy_;

@@ -39,9 +39,9 @@ struct NetworkConfig;
 struct ProtocolSpec {
   /// Builds the strategy driving cluster formation for one run.  A null
   /// factory means "no clustering at all": the network runs clusterless
-  /// and every node uplinks each packet straight to the base station
-  /// (first-order radio model over bs_distance_m) — the classic
-  /// direct-transmission baseline.
+  /// and every node uplinks each packet to the sink through the routed
+  /// uplink (one first-order leg over bs_distance_m by default) — the
+  /// classic direct-transmission baseline.
   using ClusteringFactory =
       std::function<std::unique_ptr<leach::ClusteringStrategy>(const NetworkConfig&)>;
 
@@ -73,10 +73,11 @@ struct ProtocolSpec {
   }
 
   /// Builds the uplink path planner for one run.  Null means "whatever
-  /// the config's routing.* knobs say" — with all-default knobs that is
-  /// the legacy single-hop fast path, byte-identical to pre-routing
-  /// artifacts.  A non-null factory (like a non-default knob) activates
-  /// the routed uplink: hop chains, per-leg energy, unreachable drops.
+  /// the config's routing.* knobs say" — with all-default knobs the CH
+  /// is the sink, unless ch_forward_enabled is set or the protocol is
+  /// clusterless.  A non-null factory (like a non-default knob) sends
+  /// every packet on from its CH: hop chains, per-leg energy,
+  /// unreachable drops.
   using RoutingFactory =
       std::function<std::unique_ptr<routing::RoutingStrategy>(const NetworkConfig&)>;
   /// Builds the uplink cost model for one run.  Null means the config's
@@ -88,7 +89,7 @@ struct ProtocolSpec {
   /// Display label for the routing column; empty derives from the
   /// factory (routing_label()).
   std::string routing_name;
-  RoutingFactory routing;  ///< null = config-driven (legacy direct by default)
+  RoutingFactory routing;  ///< null = config-driven (direct by default)
   std::string uplink_energy_name;
   UplinkEnergyFactory uplink_energy;  ///< null = config first-order model
 

@@ -21,10 +21,28 @@ struct GoldenCell {
   core::RunOptions options;
 };
 
+// The short cells' base: 20 nodes with short rounds, so several round
+// boundaries (link release and re-derivation) fall inside a 20 s
+// horizon, and a small battery, so some nodes die within it.
+inline core::NetworkConfig golden_base_config() {
+  core::NetworkConfig config;
+  config.node_count = 20;
+  config.field_size_m = 100.0;
+  config.ch_fraction = 0.1;
+  config.round_duration_s = 4.0;
+  config.traffic_rate_pps = 4.0;
+  config.initial_energy_j = 0.2;
+  return config;
+}
+
+inline core::RunOptions golden_short_options() {
+  core::RunOptions options;
+  options.max_sim_s = 20.0;
+  return options;
+}
+
 // Paper trio plus caem-deadline x fading x mobility x radio range x SNR
-// cache.  Short rounds put several round boundaries (link release and
-// re-derivation) inside a 20 s horizon, and the small battery lets some
-// nodes die within it.
+// cache, on the base config.
 inline std::vector<GoldenCell> golden_matrix() {
   std::vector<core::Protocol> protocols = core::paper_protocols();
   protocols.push_back(core::protocol_from_string("caem-deadline"));
@@ -34,13 +52,7 @@ inline std::vector<GoldenCell> golden_matrix() {
       for (const char* mobility : {"static", "waypoint"}) {
         for (const double range_m : {0.0, 40.0}) {
           for (const bool cache : {true, false}) {
-            core::NetworkConfig config;
-            config.node_count = 20;
-            config.field_size_m = 100.0;
-            config.ch_fraction = 0.1;
-            config.round_duration_s = 4.0;
-            config.traffic_rate_pps = 4.0;
-            config.initial_energy_j = 0.2;
+            core::NetworkConfig config = golden_base_config();
             config.mobility_kind = mobility;
             config.channel.fading_kind = channel::fading_kind_from_string(fading);
             config.channel.radio_range_m = range_m;
@@ -48,14 +60,50 @@ inline std::vector<GoldenCell> golden_matrix() {
             std::ostringstream key;
             key << to_string(protocol) << '/' << fading << '/' << mobility << "/range"
                 << range_m << "/cache" << (cache ? 1 : 0);
-            core::RunOptions options;
-            options.max_sim_s = 20.0;
-            cells.push_back({key.str(), config, protocol, options});
+            cells.push_back({key.str(), config, protocol, golden_short_options()});
           }
         }
       }
     }
   }
+  return cells;
+}
+
+// Every uplink shape on the base config: the seven built-in protocols
+// with and without CH forwarding, at unlimited and 40 m radio range;
+// caem-scheme1 under the three routing kinds to a geometric sink at the
+// field's corner; and one routed run to the virtual sink.
+inline std::vector<GoldenCell> golden_uplink_cells() {
+  std::vector<GoldenCell> cells;
+  for (const char* name : {"pure-leach", "caem-scheme1", "caem-scheme2", "caem-deadline",
+                           "direct", "static-cluster", "caem-adaptive-deadline"}) {
+    for (const bool forward : {false, true}) {
+      for (const double range_m : {0.0, 40.0}) {
+        core::NetworkConfig config = golden_base_config();
+        config.ch_forward_enabled = forward;
+        config.channel.radio_range_m = range_m;
+        std::ostringstream key;
+        key << "uplink/" << name << "/forward" << (forward ? 1 : 0) << "/range" << range_m;
+        cells.push_back({key.str(), config, core::protocol_from_string(name),
+                         golden_short_options()});
+      }
+    }
+  }
+  const core::Protocol scheme1 = core::protocol_from_string("caem-scheme1");
+  for (const char* kind : {"direct", "greedy", "chain"}) {
+    core::NetworkConfig config = golden_base_config();
+    config.channel.radio_range_m = 40.0;
+    config.routing.kind = kind;
+    config.routing.sink_x_m = 0.0;
+    config.routing.sink_y_m = 0.0;
+    cells.push_back({std::string("uplink/caem-scheme1/routed-") + kind + "/sink0,0/range40",
+                     config, scheme1, golden_short_options()});
+  }
+  core::NetworkConfig config = golden_base_config();
+  config.channel.radio_range_m = 40.0;
+  config.routing.max_hops = 3;
+  cells.push_back({"uplink/caem-scheme1/routed-direct/virtual-sink/range40", config, scheme1,
+                   golden_short_options()});
   return cells;
 }
 

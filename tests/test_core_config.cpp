@@ -177,6 +177,26 @@ TEST(NetworkConfig, DefaultRoutingKeepsTheLegacyDigest) {
   EXPECT_EQ(text.find("routing."), std::string::npos);
 }
 
+TEST(NetworkConfig, ForwardingConfigsRenderSimSemanticsTwo) {
+  // Configs whose packets leave the CH changed semantics when every
+  // uplink leg became payable (a CH that cannot fund its forward drops
+  // the packet); their text says so, so cache entries minted under the
+  // old rule never serve.  Every other config keeps version 1.
+  const NetworkConfig base;
+  EXPECT_EQ(base.digest(), "d5cc9acc34aeb055");
+  EXPECT_NE(base.canonical_text().find("\nsim-semantics=1\n"), std::string::npos);
+
+  NetworkConfig forward = base;
+  forward.ch_forward_enabled = true;
+  const std::string text = forward.canonical_text();
+  EXPECT_EQ(text.rfind("caem-config-v2\nsim-semantics=2\n", 0), 0u) << text.substr(0, 40);
+  EXPECT_NE(forward.digest(), base.digest());
+
+  NetworkConfig routed = base;
+  routed.routing.max_hops = 3;
+  EXPECT_EQ(routed.canonical_text().rfind("caem-config-v3\nsim-semantics=2\n", 0), 0u);
+}
+
 TEST(NetworkConfig, NonDefaultRoutingRendersV3WithRoutingBlock) {
   // Any non-default routing knob must flip the header to v3 AND append
   // the routing block — a v2 text with routing fields (or a v3 without)

@@ -50,6 +50,30 @@ TEST(Forwarding, ConservationHoldsWithForwarding) {
   }
 }
 
+TEST(Forwarding, ChThatCannotPayItsForwardDropsThePacket) {
+  // The sink 100 km out: one aggregate's forward costs more than a full
+  // battery, so a CH dies on its first forward.  The packet that killed
+  // it, and every packet reaching a dead CH, books a kNodeDeath drop and
+  // never a delivery; conservation still balances.
+  NetworkConfig config = small_config();
+  config.ch_forward_enabled = true;
+  config.bs_distance_m = 1e5;
+  Network network(config, protocol_from_string("leach"), 12);
+  network.start();
+  network.simulator().run_until(20.0);
+  network.finalize();
+
+  const auto& metrics = network.metrics();
+  EXPECT_EQ(metrics.delivered(), 0u);  // over the air = reached the sink
+  EXPECT_GT(metrics.dropped(queueing::DropReason::kNodeDeath), 0u);
+  EXPECT_LT(network.alive_count(), network.node_count());
+  std::uint64_t queued = 0;
+  for (std::size_t i = 0; i < network.node_count(); ++i) {
+    queued += network.node(i).queue().size();
+  }
+  EXPECT_EQ(metrics.generated(), metrics.delivered_total() + metrics.dropped_total() + queued);
+}
+
 TEST(Deadline, ProtocolPlumbing) {
   const Protocol deadline = protocol_from_string("deadline");
   EXPECT_STREQ(to_string(deadline), "caem-deadline");

@@ -6,10 +6,13 @@
 #include <vector>
 
 #include "channel/fading.hpp"
+#include "support/bessel.hpp"
 #include "util/stats.hpp"
 
 namespace caem::channel {
 namespace {
+
+using test_support::bessel_j0;
 
 TEST(JakesFading, UnitMeanPowerGain) {
   util::OnlineStats stats;

@@ -2,9 +2,10 @@
 // serialised through run_result_io (execution stamps cleared) and
 // hashed, compared against the committed table in
 // tests/golden_results.tsv.  Any change to simulation semantics shows up
-// here as a diff of that table.  Three groups, one test each so ctest
-// runs them side by side: the short seed matrix, the fig9_fast cells and
-// a 2,000-node city cell (tests/support/golden_matrix.hpp).
+// here as a diff of that table.  Four groups, one test each so ctest
+// runs them side by side: the short seed matrix, the uplink shapes, the
+// fig9_fast cells and a 2,000-node city cell
+// (tests/support/golden_matrix.hpp).
 //
 // To regenerate the table after an intended semantic change, run
 // `caem_tests --gtest_filter='GoldenResults.*'` (one process: each test
@@ -102,9 +103,14 @@ TEST(GoldenResults, SeedMatrixMatchesCommittedTable) {
   check_cells(test_support::golden_matrix());
   if (IsSkipped()) return;  // rewrite mode
   const std::size_t cells = test_support::golden_matrix().size() +
+                            test_support::golden_uplink_cells().size() +
                             test_support::golden_fig9_fast_cells().size() +
                             test_support::golden_city_cells().size();
   EXPECT_EQ(read_table().size(), cells) << "the golden table has stale or missing rows";
+}
+
+TEST(GoldenResults, UplinkCellsMatchCommittedTable) {
+  check_cells(test_support::golden_uplink_cells());
 }
 
 TEST(GoldenResults, Fig9FastCellsMatchCommittedTable) {

@@ -21,8 +21,9 @@
 namespace caem::core {
 namespace {
 
-// The hand-written canonical_text() the knob table replaced, verbatim.
-// It is the oracle the table's rendering must match byte for byte.
+// The hand-written canonical_text() the knob table replaced, verbatim
+// but for the sim-semantics line, which reads 2 once packets leave the
+// CH.  It is the oracle the table's rendering must match byte for byte.
 std::string legacy_canonical_text(const NetworkConfig& c) {
   std::ostringstream out;
   out.imbue(std::locale::classic());
@@ -35,8 +36,9 @@ std::string legacy_canonical_text(const NetworkConfig& c) {
   const auto put_u = [&put](const char* key, std::uint64_t value) {
     put(key, std::to_string(value));
   };
-  out << (c.routing == UplinkRoutingConfig{} ? "caem-config-v2\n" : "caem-config-v3\n");
-  out << "sim-semantics=1\n";
+  const bool routed = c.routing != UplinkRoutingConfig{};
+  out << (routed ? "caem-config-v3\n" : "caem-config-v2\n");
+  out << (routed || c.ch_forward_enabled ? "sim-semantics=2\n" : "sim-semantics=1\n");
   put_u("node_count", c.node_count);
   put_d("field_size_m", c.field_size_m);
   put_d("ch_fraction", c.ch_fraction);
@@ -231,6 +233,9 @@ TEST(KnobTable, DeclaresEveryKnobOnceInCanonicalOrder) {
 TEST(KnobTable, CanonicalTextMatchesTheHandWrittenRenderer) {
   std::vector<NetworkConfig> configs{NetworkConfig{}};
   for (const test_support::GoldenCell& cell : test_support::golden_matrix()) {
+    configs.push_back(cell.config);
+  }
+  for (const test_support::GoldenCell& cell : test_support::golden_uplink_cells()) {
     configs.push_back(cell.config);
   }
   // The v3 routing configs of test_core_config.cpp.

@@ -1,4 +1,4 @@
-// Tests for the path-loss models.
+// Tests for the log-distance path-loss model.
 #include <gtest/gtest.h>
 
 #include "channel/path_loss.hpp"
@@ -32,38 +32,6 @@ TEST(LogDistance, MonotoneInDistance) {
 TEST(LogDistance, Validation) {
   EXPECT_THROW(LogDistancePathLoss(0.0, 40.0), std::invalid_argument);
   EXPECT_THROW(LogDistancePathLoss(3.0, 40.0, 0.0), std::invalid_argument);
-}
-
-TEST(FreeSpace, FriisAtKnownPoint) {
-  // At 2.4 GHz and 1 m: 20 log10(4 pi / lambda) ~ 40.05 dB.
-  const FreeSpacePathLoss model(2.4e9);
-  EXPECT_NEAR(model.loss_db(1.0), 40.05, 0.1);
-  // +20 dB per decade.
-  EXPECT_NEAR(model.loss_db(10.0) - model.loss_db(1.0), 20.0, 1e-6);
-}
-
-TEST(FreeSpace, NeverNegative) {
-  const FreeSpacePathLoss model(916e6);
-  EXPECT_GE(model.loss_db(0.0), 0.0);
-  EXPECT_THROW(FreeSpacePathLoss(0.0), std::invalid_argument);
-}
-
-TEST(TwoRay, MatchesFreeSpaceBelowCrossover) {
-  const TwoRayGroundPathLoss two_ray(916e6, 1.5, 1.5);
-  const FreeSpacePathLoss free_space(916e6);
-  const double inside = two_ray.crossover_distance_m() * 0.5;
-  EXPECT_NEAR(two_ray.loss_db(inside), free_space.loss_db(inside), 1e-9);
-}
-
-TEST(TwoRay, FortyDbPerDecadeBeyondCrossover) {
-  const TwoRayGroundPathLoss model(916e6, 1.5, 1.5);
-  const double d0 = model.crossover_distance_m() * 2.0;
-  EXPECT_NEAR(model.loss_db(d0 * 10.0) - model.loss_db(d0), 40.0, 1e-6);
-}
-
-TEST(TwoRay, Validation) {
-  EXPECT_THROW(TwoRayGroundPathLoss(916e6, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(TwoRayGroundPathLoss(916e6, 1.0, -1.0), std::invalid_argument);
 }
 
 }  // namespace

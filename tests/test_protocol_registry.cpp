@@ -12,12 +12,19 @@
 #include "core/network.hpp"
 #include "core/protocol.hpp"
 #include "core/simulation_runner.hpp"
+#include "energy/uplink_energy_model.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
 #include "scenario/scenario_spec.hpp"
 
 namespace caem::core {
 namespace {
+
+// First-order radio cost of one bit on the long haul to the virtual sink.
+double sink_j_per_bit(const NetworkConfig& config) {
+  return energy::first_order_j_per_bit(config.fwd_e_elec_j_per_bit,
+                                       config.fwd_eps_amp_j_per_bit_m2, config.bs_distance_m);
+}
 
 NetworkConfig small_config() {
   NetworkConfig config;
@@ -130,7 +137,7 @@ TEST(DirectProtocol, UplinksEverythingWithoutClusters) {
   // Every uplink is charged the first-order radio cost for the full
   // packet (no aggregation); with the radios never driven out of their
   // initial state, that is essentially the whole energy story.
-  const double per_packet = config.packet_bits * config.bs_uplink_j_per_bit();
+  const double per_packet = config.packet_bits * sink_j_per_bit(config);
   const double uplink_j = per_packet * static_cast<double>(metrics.delivered());
   EXPECT_GE(network.total_consumed_j(), uplink_j - 1e-9);
   EXPECT_LT(network.total_consumed_j(), uplink_j * 1.05 + 1.0);
@@ -152,7 +159,7 @@ TEST(DirectProtocol, UnderfundedFinalUplinkDropsInsteadOfDelivering) {
   EXPECT_EQ(result.delivered_air + result.dropped_death, result.generated);
   // Delivered energy accounting stays honest: every counted delivery
   // was fully funded.
-  const double per_packet = config.packet_bits * config.bs_uplink_j_per_bit();
+  const double per_packet = config.packet_bits * sink_j_per_bit(config);
   EXPECT_GE(result.total_consumed_j,
             per_packet * static_cast<double>(result.delivered_air) - 1e-9);
 }

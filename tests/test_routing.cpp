@@ -257,11 +257,19 @@ TEST(RoutedNetwork, PartitionedNetworkDropsUnreachableNeverDeliversFree) {
 }
 
 TEST(RoutedNetwork, LegacyConfigStaysOnTheUnroutedFastPath) {
+  // The CH is the sink unless packets leave it: a clustered protocol
+  // with default knobs builds no uplink, while CH forwarding or a
+  // clusterless protocol sends every packet through route_uplink.
   core::NetworkConfig config;
   config.node_count = 10;
-  core::Network network(config, core::protocol_from_string("caem-scheme1"), 1);
-  EXPECT_FALSE(network.routed_uplink());
-  EXPECT_EQ(network.relay_hops_total(), 0u);
+  const core::Protocol scheme1 = core::protocol_from_string("caem-scheme1");
+  const core::Network sink_at_ch(config, scheme1, 1);
+  EXPECT_FALSE(sink_at_ch.routed_uplink());
+  EXPECT_EQ(sink_at_ch.relay_hops_total(), 0u);
+
+  EXPECT_TRUE(core::Network(config, core::protocol_from_string("direct"), 1).routed_uplink());
+  config.ch_forward_enabled = true;
+  EXPECT_TRUE(core::Network(config, scheme1, 1).routed_uplink());
 }
 
 // ---- the pluggability contract, end to end ----

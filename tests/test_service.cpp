@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/protocol.hpp"
+#include "leach/clustering.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/result_cache.hpp"
 #include "scenario/scenario_spec.hpp"
@@ -364,6 +366,28 @@ TEST(CacheJanitor, PinnedEntriesSurviveEvenOverBudget) {
 
 // ---------------------------------------------- interrupted-worker drain
 
+/// Raised by cancel_on_build()'s clustering factory, that is, inside the
+/// drain thread as a cell starts.  The engine polls its cancel flag only
+/// between cells, so a sweep handed this flag stops right after its
+/// first cell, whatever the thread scheduler does: the SIGINT the CLI's
+/// handler would turn into the same flag, landing mid-drain.
+std::atomic<bool> g_cancel_on_build{false};
+
+core::Protocol cancel_on_build() {
+  static const core::Protocol protocol = [] {
+    core::ProtocolSpec spec = core::protocol_from_string("pure-leach").spec();
+    spec.name = "test-cancel-on-build";
+    spec.aliases.clear();
+    spec.paper_protocol = false;
+    spec.clustering = [leach = spec.clustering](const core::NetworkConfig& config) {
+      g_cancel_on_build.store(true);
+      return leach(config);
+    };
+    return core::ProtocolRegistry::instance().add(std::move(spec));
+  }();
+  return protocol;
+}
+
 /// Regular files living under any .../claims/ directory.
 std::size_t claim_files(const fs::path& cache_dir) {
   std::size_t count = 0;
@@ -385,18 +409,11 @@ TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
   spec.worker_mode = true;
   spec.lease_s = 5.0;
 
-  // Simulate SIGINT landing mid-drain: the moment the first cell is
-  // stored, raise the cancel flag the CLI's signal handler would set.
-  scenario::ProgressSink sink;
-  std::atomic<bool> cancel{false};
-  spec.progress_sink = &sink;
-  spec.cancel = &cancel;
-  std::thread interrupter([&sink, &cancel] {
-    while (sink.executed.load() == 0) std::this_thread::yield();
-    cancel.store(true);
-  });
+  // Simulate SIGINT landing mid-drain, during the first cell.
+  spec.protocols = {cancel_on_build()};
+  g_cancel_on_build.store(false);
+  spec.cancel = &g_cancel_on_build;
   const scenario::ScenarioResult result = scenario::run_scenario(spec);
-  interrupter.join();
 
   EXPECT_TRUE(result.cancelled);
   EXPECT_GE(result.executed_jobs, 1u);
@@ -412,7 +429,6 @@ TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
   // immediately (no lease to wait out), and the merge folds the full
   // sweep from pure cache hits.
   scenario::ScenarioSpec resume = spec;
-  resume.progress_sink = nullptr;
   resume.cancel = nullptr;
   const scenario::ScenarioResult finished = scenario::run_scenario(resume);
   EXPECT_FALSE(finished.cancelled);
@@ -421,7 +437,6 @@ TEST(Engine, InterruptedWorkerReleasesClaimsAndWritesMarker) {
   scenario::ScenarioSpec merge = spec;
   merge.worker_mode = false;
   merge.merge_shards = true;
-  merge.progress_sink = nullptr;
   merge.cancel = nullptr;
   const scenario::ScenarioResult merged = scenario::run_scenario(merge);
   EXPECT_EQ(merged.cache_hits, merged.total_jobs);
@@ -439,16 +454,12 @@ TEST(Engine, CancelledCachedRunKeepsEveryFinishedCell) {
       scenario::ScenarioSpec::from_config(util::Config::from_text(kScenarioText));
   spec.cache_dir = cache_dir.string();
   spec.threads = 1;
+  spec.protocols = {cancel_on_build()};
   scenario::ProgressSink sink;
-  std::atomic<bool> cancel{false};
   spec.progress_sink = &sink;
-  spec.cancel = &cancel;
-  std::thread interrupter([&sink, &cancel] {
-    while (sink.executed.load() == 0) std::this_thread::yield();
-    cancel.store(true);
-  });
+  g_cancel_on_build.store(false);
+  spec.cancel = &g_cancel_on_build;
   EXPECT_THROW((void)scenario::run_scenario(spec), scenario::SweepCancelled);
-  interrupter.join();
 
   const std::size_t executed = sink.executed.load();
   EXPECT_GE(executed, 1u);
